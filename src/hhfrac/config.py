@@ -266,8 +266,8 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         Order(config.alpha, config.beta_type)
     except DomainError as exc:
         raise ConfigError(f"{where('alpha')}: {exc}") from exc
-    if not config.b > 1.0:
-        raise ConfigError(f"{where('b')}: b must exceed 1")
+    if not 1.0 < config.b < math.inf:
+        raise ConfigError(f"{where('b')}: b must be finite and exceed 1")
     if config.c1 + config.c2 == 0.0:
         raise ConfigError(f"{where('c1')}: c1 + c2 must be nonzero")
     if config.c2 == 0.0:

@@ -44,8 +44,8 @@ class LogGrid:
     n_panels: int
 
     def __post_init__(self):
-        if not self.b > 1.0:
-            raise DomainError(f"grid requires b > 1, got {self.b!r}")
+        if not 1.0 < self.b < math.inf:
+            raise DomainError(f"grid requires a finite b > 1, got {self.b!r}")
         if self.n_panels < 1:
             raise DomainError(f"grid requires at least one panel, got {self.n_panels!r}")
 

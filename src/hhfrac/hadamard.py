@@ -10,6 +10,12 @@ panel).  The split is an exact rearrangement, so it never changes what is
 being computed, but it removes the endpoint singularity from the quadrature
 and makes pure log-powers exact.
 
+On the log-uniform grid the product-trapezoidal rule is a Toeplitz
+convolution of the remainder with lag-indexed weights.  The full integral
+evaluates it with a zero-padded real FFT in O(N log N); the value at b
+alone is one dot product with the reversed weights, O(N).  Both start
+from the same split and extrapolation, so they agree to roundoff.
+
 The logarithmic derivative t d/dt is a second-order finite difference in x
 applied to the weighted profile, with the raw derivative reconstructed from
 the product rule ``u' = (V' + (gamma-1) V / x) x^(gamma-1)`` so that node 0
@@ -24,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .grids import GridFunction, Order, weighted_norm  # noqa: F401
+from .grids import GridFunction, Order
 from .specfun import gamma_ratio
 
 _TOL = 1e-12
@@ -73,18 +79,18 @@ def _remainder(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, f.gamma_weight, rem)
 
 
-def hadamard_integral(f: GridFunction, mu: float) -> GridFunction:
-    """Left Hadamard fractional integral of order mu > 0, same weight class.
+def _integrand(f: GridFunction, mu: float):
+    """Quadrature data shared by the full integral and its endpoint value.
 
-    The node-0 weighted output is exactly 0: the integral of anything in the
-    input's weight class gains a positive power of log t, so its weighted
-    limit at 1+ vanishes.
+    Returns ``(x, g, g0, mode)``: the log nodes, the raw remainder at nodes
+    1..N, its extrapolated origin value, and the coefficient of (log t)^mu
+    in the weighted image of the leading mode (0 when there is no such
+    mode).
     """
     if not mu > 0.0:
         raise DomainError(f"hadamard_integral requires mu > 0, got {mu!r}")
-    grid = f.grid
     gw = f.gamma_weight
-    x = grid.log_nodes
+    x = f.grid.log_nodes
     w0, rem = _split_limit(f)
     if w0 != 0.0 and gw == 0.0:
         raise DomainError(
@@ -98,21 +104,41 @@ def hadamard_integral(f: GridFunction, mu: float) -> GridFunction:
     # log-power families) and its intercept also absorbs most of the
     # first-panel chord error on power-kinked data.
     g = rem[1:] * x[1:] ** (gw - 1.0)
-    a, d = _panel_weights(mu, grid.h, grid.n_panels)
-    raw = np.convolve(g, d)[: grid.n_panels]
-    if grid.n_panels >= 3:
+    if g.shape[0] >= 3:
         g0 = 3.0 * g[0] - 3.0 * g[1] + g[2]
-    elif grid.n_panels == 2:
+    elif g.shape[0] == 2:
         g0 = 2.0 * g[0] - g[1]
     else:
         g0 = g[0]
+    mode = w0 * math.exp(math.lgamma(gw) - math.lgamma(gw + mu)) if w0 != 0.0 else 0.0
+    return x, g, g0, mode
+
+
+def hadamard_integral(f: GridFunction, mu: float) -> GridFunction:
+    """Left Hadamard fractional integral of order mu > 0, same weight class.
+
+    The node-0 weighted output is exactly 0: the integral of anything in the
+    input's weight class gains a positive power of log t, so its weighted
+    limit at 1+ vanishes.
+    """
+    x, g, g0, mode = _integrand(f, mu)
+    grid = f.grid
+    n = grid.n_panels
+    a, d = _panel_weights(mu, grid.h, n)
+    # linear convolution of g with d through a zero-padded real FFT of
+    # length >= 2N - 1, so no wrap-around reaches the first N outputs
+    size = 1 << (2 * n - 2).bit_length()
+    spectrum = np.fft.rfft(g, size)
+    spectrum *= np.fft.rfft(d, size)
+    raw = np.fft.irfft(spectrum, size)[:n]
     raw += g0 * a
     raw /= math.gamma(mu)
 
+    gw = f.gamma_weight
     out = np.zeros(grid.n_nodes)
     out[1:] = raw * x[1:] ** (1.0 - gw)
-    if w0 != 0.0:
-        out[1:] += (w0 * math.exp(math.lgamma(gw) - math.lgamma(gw + mu))) * x[1:] ** mu
+    if mode != 0.0:
+        out[1:] += mode * x[1:] ** mu
     return GridFunction(grid, gw, out)
 
 
@@ -238,7 +264,17 @@ def hilfer_hadamard_derivative(f: GridFunction, order: Order) -> GridFunction:
 
 
 def integral_value_at_b(f: GridFunction, mu: float) -> float:
-    """Raw value of (I^mu f)(b), read off the last node of the integral."""
-    result = hadamard_integral(f, mu)
+    """Raw value of (I^mu f)(b): the last node of the integral, in O(N).
+
+    The convolution's last entry is one dot product with the reversed
+    weights, so no N-long convolution is formed.
+    """
+    _, g, g0, mode = _integrand(f, mu)
+    a, d = _panel_weights(mu, f.grid.h, f.grid.n_panels)
+    raw = (np.dot(g, d[::-1]) + g0 * a[-1]) / math.gamma(mu)
+    gw = f.gamma_weight
     xb = math.log(f.grid.b)
-    return float(result.weighted_values[-1]) * xb ** (f.gamma_weight - 1.0)
+    weighted = raw * xb ** (1.0 - gw)
+    if mode != 0.0:
+        weighted += mode * xb**mu
+    return float(weighted) * xb ** (gw - 1.0)

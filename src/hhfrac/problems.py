@@ -174,8 +174,8 @@ class ProblemSpec:
     rhs: RhsSpec
 
     def __post_init__(self):
-        if not self.b > 1.0:
-            raise DomainError(f"problem requires b > 1, got {self.b!r}")
+        if not 1.0 < self.b < math.inf:
+            raise DomainError(f"problem requires a finite b > 1, got {self.b!r}")
         if self.c1 + self.c2 == 0.0:
             raise DomainError("boundary condition requires c1 + c2 != 0")
         if self.c2 == 0.0:

@@ -280,8 +280,8 @@ def solve_ivp(
     inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
 ):
     """Initial-value variant: u = u0 (log t)^(gamma-1)/Gamma(gamma) + I^alpha F_u."""
-    if not b > 1.0:
-        raise DomainError(f"solve_ivp requires b > 1, got {b!r}")
+    if not 1.0 < b < math.inf:
+        raise DomainError(f"solve_ivp requires a finite b > 1, got {b!r}")
     z0 = u0 / math.gamma(order.gamma)
     u, iters, last_inc, residual, inner_max, _ = _picard_engine(
         rhs, order, grid,

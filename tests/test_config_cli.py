@@ -194,6 +194,15 @@ class TestCli:
         assert main(["certify", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "certify", "stability"])
+    def test_infinite_b_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(SECTION5_CFG.replace("b = e", "b = inf"))
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {cfg}:3: b: b must be finite and exceed 1"]
+
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2
 

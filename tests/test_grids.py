@@ -58,6 +58,11 @@ class TestLogGrid:
         with pytest.raises(DomainError):
             LogGrid(2.0, 0)
 
+    @pytest.mark.parametrize("b", [math.inf, math.nan])
+    def test_non_finite_b_rejected(self, b):
+        with pytest.raises(DomainError, match="finite b > 1"):
+            LogGrid(b, 8)
+
 
 class TestGridFunction:
     def test_length_checked(self):

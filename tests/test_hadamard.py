@@ -14,9 +14,11 @@ import pytest
 from hhfrac.errors import DomainError
 from hhfrac.grids import GridFunction, LogGrid, Order, log_power, weighted_norm
 from hhfrac.hadamard import (
+    _panel_weights,
     hadamard_derivative,
     hadamard_integral,
     hilfer_hadamard_derivative,
+    integral_value_at_b,
     log_derivative,
 )
 
@@ -366,3 +368,80 @@ class TestLogDerivative:
         f = GridFunction.from_raw_callable(grid, 0.0, lambda t: np.log(t) ** 3)
         result = log_derivative(f)
         assert sup_err(result.raw_tail() - 3.0 * x[1:] ** 2, grid) < 1e-4
+
+
+def direct_integral_raw(f, mu):
+    """Raw (I^mu f) at nodes 1..N by direct O(N^2) convolution of the weights."""
+    grid, gw = f.grid, f.gamma_weight
+    n = grid.n_panels
+    x = grid.log_nodes[1:]
+    w0 = f.weighted_limit
+    g = (f.weighted_values[1:] - w0) * x ** (gw - 1.0)
+    if n >= 3:
+        g0 = 3.0 * g[0] - 3.0 * g[1] + g[2]
+    elif n == 2:
+        g0 = 2.0 * g[0] - g[1]
+    else:
+        g0 = g[0]
+    a, d = _panel_weights(mu, grid.h, n)
+    raw = (np.convolve(g, d)[:n] + g0 * a) / G(mu)
+    if w0 != 0.0:
+        raw += w0 * G(gw) / G(gw + mu) * x ** (gw + mu - 1.0)
+    return raw
+
+
+ORACLE_PANELS = (1, 2, 3, 5, 64, 513, 4096)
+ORACLE_MUS = (0.2, 1.0 / 3.0, 2.0 / 3.0, 1.5)
+# (weight class, weighted limit): class 0 admits only a zero limit
+ORACLE_CLASSES = ((0.0, 0.0), (7.0 / 9.0, 0.0), (7.0 / 9.0, 0.8))
+
+
+def oracle_function(n_panels, gamma_weight, limit):
+    grid = LogGrid(math.e, n_panels)
+    x = grid.log_nodes
+    w = limit + np.sin(3.0 * x) + 0.5 * x**2
+    w[0] = limit
+    return GridFunction(grid, gamma_weight, w)
+
+
+class TestAgainstDirectConvolution:
+    """FFT convolution and the endpoint dot product against the direct sum."""
+
+    @pytest.mark.parametrize("n_panels", ORACLE_PANELS)
+    @pytest.mark.parametrize("mu", ORACLE_MUS)
+    @pytest.mark.parametrize("cls", ORACLE_CLASSES)
+    def test_integral_matches_direct(self, n_panels, mu, cls):
+        f = oracle_function(n_panels, *cls)
+        expected = direct_integral_raw(f, mu)
+        result = hadamard_integral(f, mu)
+        assert result.weighted_limit == 0.0
+        tol = 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(result.raw_tail() - expected)) <= tol
+
+    @pytest.mark.parametrize("n_panels", ORACLE_PANELS)
+    @pytest.mark.parametrize("mu", ORACLE_MUS)
+    @pytest.mark.parametrize("cls", ORACLE_CLASSES)
+    def test_value_at_b_is_last_node(self, n_panels, mu, cls):
+        f = oracle_function(n_panels, *cls)
+        raw = hadamard_integral(f, mu).raw_tail()
+        tol = 1e-12 * np.max(np.abs(raw))
+        assert abs(integral_value_at_b(f, mu) - raw[-1]) <= tol
+
+    @pytest.mark.parametrize("mu", [0.0, -0.5, math.nan])
+    def test_same_error_for_bad_order(self, mu):
+        f = oracle_function(8, 0.5, 0.0)
+        messages = []
+        for fn in (hadamard_integral, integral_value_at_b):
+            with pytest.raises(DomainError) as info:
+                fn(f, mu)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_same_error_for_class_zero_limit(self):
+        bad = GridFunction(LogGrid(math.e, 8), 0.0, np.ones(9))
+        messages = []
+        for fn in (hadamard_integral, integral_value_at_b):
+            with pytest.raises(DomainError, match="not Hadamard integrable") as info:
+                fn(bad, 0.5)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]

@@ -43,6 +43,11 @@ class TestProblemSpec:
         with pytest.raises(DomainError):
             ProblemSpec(order=ORDER, b=math.e, c1=1.0, c2=0.0, phi=0.0, rhs=rhs)
 
+    @pytest.mark.parametrize("b", [math.inf, math.nan])
+    def test_non_finite_b_rejected(self, b):
+        with pytest.raises(DomainError, match="finite b > 1"):
+            ProblemSpec(order=ORDER, b=b, c1=2.0, c2=1.0, phi=0.0, rhs=paper_example_rhs())
+
     def test_rhs_metadata_invariants(self):
         with pytest.raises(DomainError):
             affine_rhs(0.0, 0.0, 0.5, 1.0, math.e)  # L_f = 1 not allowed
