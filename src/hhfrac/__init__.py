@@ -11,7 +11,6 @@ Ulam-type stability bounds by perturbation experiments.
 from .certificates import (
     Certificate,
     build_certificate,
-    existence_constant_paper_arithmetic,
     existence_constants,
     gronwall_bound,
     rassias_constant,
@@ -48,11 +47,10 @@ from .solver import (
     compute_Z,
     picard_solve,
     residual_fide,
-    solve_implicit_pointwise,
     solve_ivp,
     solve_with_fixed_constant,
 )
-from .specfun import MLSeriesResult, beta, gamma, mittag_leffler
+from .specfun import MLSeriesResult, beta, mittag_leffler
 from .stability import (
     PerturbationSpec,
     StabilityVerdict,
@@ -83,9 +81,7 @@ __all__ = [
     "beta",
     "build_certificate",
     "compute_Z",
-    "existence_constant_paper_arithmetic",
     "existence_constants",
-    "gamma",
     "gronwall_bound",
     "hadamard_derivative",
     "hadamard_integral",
@@ -102,7 +98,6 @@ __all__ = [
     "residual_fide",
     "run_uh_experiment",
     "run_uhr_experiment",
-    "solve_implicit_pointwise",
     "solve_ivp",
     "solve_with_fixed_constant",
     "table_rhs",

@@ -89,11 +89,13 @@ def _c_ratio(problem: ProblemSpec) -> float:
 
 
 def existence_constants(problem: ProblemSpec):
-    """(omega, lambda_cap, ball_radius or None) for the growth hypothesis.
+    """(omega, omega_paper_variant, lambda_cap, ball_radius or None).
 
     omega < 1 certifies existence; the ball radius lambda_cap/(1 - omega)
     is only defined in that case.  lambda_cap bounds a norm, so the
-    boundary term enters through |phi/(c1+c2)|.
+    boundary term enters through |phi/(c1+c2)|.  omega_paper_variant has
+    Gamma(gamma) in place of 1/Gamma(gamma), the arithmetic of the worked
+    example (about 0.88 for the reference problem).
     """
     rhs = problem.rhs
     if not rhs.rho_star < 1.0:
@@ -103,32 +105,17 @@ def existence_constants(problem: ProblemSpec):
     logb = math.log(problem.b)
     cr = _c_ratio(problem)
     shape = beta_fn(g, a) / math.gamma(a) * logb**a
-    omega = (cr / math.gamma(g) + 1.0) * rhs.sigma_star * shape / (1.0 - rhs.rho_star)
+    omega, omega_pa = (
+        (k + 1.0) * rhs.sigma_star * shape / (1.0 - rhs.rho_star)
+        for k in (cr / math.gamma(g), cr * math.gamma(g))
+    )
     lam = abs(problem.phi / (problem.c1 + problem.c2)) / math.gamma(g) + (
         (cr / (math.gamma(g) * math.gamma(2.0 - g + a)) + 1.0 / math.gamma(a + 1.0))
         * logb ** (1.0 - g + a)
         / (1.0 - rhs.rho_star)
     )
     radius = lam / (1.0 - omega) if omega < 1.0 else None
-    return omega, lam, radius
-
-
-def existence_constant_paper_arithmetic(problem: ProblemSpec) -> float:
-    """The omega variant with Gamma(gamma) in place of 1/Gamma(gamma).
-
-    This reproduces the arithmetic of the worked example (which prints
-    about 0.88 for the reference problem); the literal theorem constant is
-    the ``omega`` returned by :func:`existence_constants`.
-    """
-    rhs = problem.rhs
-    if not rhs.rho_star < 1.0:
-        raise DomainError("existence constants require rho_star < 1")
-    o = problem.order
-    g, a = o.gamma, o.alpha
-    logb = math.log(problem.b)
-    cr = _c_ratio(problem)
-    shape = beta_fn(g, a) / math.gamma(a) * logb**a
-    return (cr * math.gamma(g) + 1.0) * rhs.sigma_star * shape / (1.0 - rhs.rho_star)
+    return omega, omega_pa, lam, radius
 
 
 def uniqueness_constant(problem: ProblemSpec) -> float:
@@ -147,23 +134,34 @@ def uniqueness_constant(problem: ProblemSpec) -> float:
     )
 
 
+def _b_tilde(problem: ProblemSpec) -> float:
+    """B~, a closed form independent of the phi profile."""
+    g = problem.order.gamma
+    return _c_ratio(problem) * math.log(problem.b) ** (g - 1.0) / math.gamma(g) + 1.0
+
+
+def _growth(problem: ProblemSpec) -> float:
+    """Gronwall factor E_alpha(K_f/(1-L_f) (log b)^alpha)."""
+    rhs = problem.rhs
+    if not rhs.L_f < 1.0:
+        raise DomainError("Ulam constants require L_f < 1")
+    a = problem.order.alpha
+    return mittag_leffler(a, rhs.K_f / (1.0 - rhs.L_f) * math.log(problem.b) ** a).value
+
+
 def ulam_hyers_constant(problem: ProblemSpec):
     """(B, C_f): the integral-inequality constant and the Ulam-Hyers constant.
 
     C_f = B E_alpha(K_f/(1-L_f) (log b)^alpha), the Gronwall closure of the
     perturbation bound evaluated at the right endpoint.
     """
-    rhs = problem.rhs
-    if not rhs.L_f < 1.0:
-        raise DomainError("Ulam-Hyers constant requires L_f < 1")
     o = problem.order
     g, a = o.gamma, o.alpha
     logb = math.log(problem.b)
     b_const = _c_ratio(problem) / math.gamma(g) * logb**a / math.gamma(
         2.0 - g + a
     ) + logb**a / math.gamma(a + 1.0)
-    growth = mittag_leffler(a, rhs.K_f / (1.0 - rhs.L_f) * logb**a).value
-    return b_const, b_const * growth
+    return b_const, b_const * _growth(problem)
 
 
 def rassias_constant(
@@ -182,13 +180,6 @@ def rassias_constant(
     """
     if not lambda_phi > 0.0:
         raise CertificateRejected("lambda_phi must be positive")
-    rhs = problem.rhs
-    if not rhs.L_f < 1.0:
-        raise DomainError("Rassias constant requires L_f < 1")
-    o = problem.order
-    g, a = o.gamma, o.alpha
-    logb = math.log(problem.b)
-
     phi_raw = phi_weight.raw_tail()
     if np.any(phi_raw <= 0.0):
         raise CertificateRejected("phi profile must be positive on the grid")
@@ -197,7 +188,7 @@ def rassias_constant(
             "phi profile is not increasing on the grid; proceeding anyway",
             stacklevel=2,
         )
-    integral_raw = hadamard_integral(phi_weight, a).raw_tail()
+    integral_raw = hadamard_integral(phi_weight, problem.order.alpha).raw_tail()
     excess = integral_raw - lambda_phi * phi_raw
     bad = np.where(excess > tol)[0]
     if bad.size:
@@ -208,10 +199,9 @@ def rassias_constant(
             violations=nodes,
         )
 
-    b_tilde = _c_ratio(problem) * logb ** (g - 1.0) / math.gamma(g) + 1.0
-    growth = mittag_leffler(a, rhs.K_f / (1.0 - rhs.L_f) * logb**a).value
+    b_tilde = _b_tilde(problem)
     # the displayed product carries lambda_phi twice
-    return b_tilde, b_tilde * lambda_phi**2 * growth
+    return b_tilde, b_tilde * lambda_phi**2 * _growth(problem)
 
 
 def gronwall_bound(
@@ -245,19 +235,14 @@ def build_certificate(
     lambda_phi: Optional[float] = None,
 ) -> Certificate:
     """Assemble every constant for one problem (Rassias parts optional)."""
-    omega, lam, radius = existence_constants(problem)
-    omega_pa = existence_constant_paper_arithmetic(problem)
+    omega, omega_pa, lam, radius = existence_constants(problem)
     a_const = uniqueness_constant(problem)
     b_const, c_f = ulam_hyers_constant(problem)
-    b_tilde, c_f_phi = None, None
+    b_tilde, c_f_phi = _b_tilde(problem), None
     if lambda_phi is not None:
         if phi_weight is None:
             raise DomainError("lambda_phi requires a phi profile to verify against")
-        b_tilde, c_f_phi = rassias_constant(problem, phi_weight, lambda_phi)
-    else:
-        # B_tilde is a closed form independent of phi; always reported
-        g = problem.order.gamma
-        b_tilde = _c_ratio(problem) * math.log(problem.b) ** (g - 1.0) / math.gamma(g) + 1.0
+        _, c_f_phi = rassias_constant(problem, phi_weight, lambda_phi)
     return Certificate(
         omega=omega,
         omega_paper_variant=omega_pa,

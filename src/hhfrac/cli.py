@@ -6,31 +6,34 @@ Subcommands:
 * ``certify``   compute every constant, emit a key = value record
 * ``stability`` run perturbation experiments, emit verdict CSV rows
 * ``verify``    run the operator-identity suites (``--level fast|full``)
-* ``example``   reproduce the reference problem end to end
+* ``example``   the reference problem's ``rhs`` metadata, then ``certify``,
+  ``solve`` and ``stability`` on its built-in configuration
 
 Exit status is 0 exactly when every check the command ran has passed.
-Outputs are deterministic: identical configurations produce bytewise
-identical files.
+Configuration and domain errors, an overflowing Mittag-Leffler factor
+among them, print one ``error:`` line and exit 2; a solve that reaches its
+cap prints one ``solve failed:`` line and exits 1.  Outputs are
+deterministic: identical configurations produce bytewise identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
 from . import certificates as cert_mod
 from .config import ConfigError, RunConfig, load_config
-from .errors import CertificateRejected, ConvergenceError, DomainError
-from .grids import LogGrid
-from .problems import paper_example_problem
-from .solver import picard_solve, residual_fide, _implicit_rhs_grid
+from .errors import CertificateRejected, ConvergenceError, DomainError, MLOverflowError
+from .grids import GridFunction
+from .problems import PAPER_EXAMPLE, paper_example_rhs
+from .solver import picard_solve, residual_fide
 from .stability import (
     PerturbationSpec,
     run_uh_experiment,
     run_uhr_experiment,
     verdicts_to_csv,
-    CSV_HEADER,
 )
 from .verify import run_convergence_suite, run_identity_suite
 
@@ -72,25 +75,25 @@ def _report_lines(report) -> str:
     )
 
 
+def _numerics(config: RunConfig) -> dict:
+    return dict(
+        tol=config.tol, cap=config.cap,
+        inner_tol=config.inner_tol, inner_cap=config.inner_cap,
+    )
+
+
 def cmd_solve(config: RunConfig, out: Optional[str]) -> int:
     grid = config.grid()
     problem = config.problem(grid)
     try:
-        u, report = picard_solve(
-            problem, grid, tol=config.tol, cap=config.cap,
-            inner_tol=config.inner_tol, inner_cap=config.inner_cap,
-        )
+        u, report = picard_solve(problem, grid, **_numerics(config))
     except ConvergenceError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
-    f_grid, _ = _implicit_rhs_grid(
-        problem.rhs, problem.order, grid, u,
-        tol=config.inner_tol, cap=config.inner_cap,
-    )
     sys.stdout.write(_report_lines(report))
     sys.stdout.write(f"fide_residual = {residual_fide(u, problem)!r}\n")
     if out is not None:
-        _write(out, _solution_csv(u, f_grid))
+        _write(out, _solution_csv(u, report.F_u))
     return 0
 
 
@@ -124,8 +127,6 @@ def _perturbation(config: RunConfig, grid, eps: float) -> PerturbationSpec:
                 f"stability.table has {len(config.stability_table)} values; "
                 f"the grid needs {grid.n_nodes}"
             )
-        from .grids import GridFunction
-
         table = GridFunction(grid, config.order.gamma, config.stability_table)
         return PerturbationSpec(kind, eps, table=table)
     if kind == "log-power" or config.stability_mode == "uhr":
@@ -138,28 +139,21 @@ def _perturbation(config: RunConfig, grid, eps: float) -> PerturbationSpec:
 def cmd_stability(config: RunConfig, out: Optional[str]) -> int:
     grid = config.grid()
     problem = config.problem(grid)
+    lam = config.lambda_phi
+    if lam is None:
+        lam = config.suggested_lambda_phi()
+    numerics = _numerics(config)
     verdicts = []
-    for eps in config.epsilons:
-        pert = _perturbation(config, grid, eps)
-        if config.stability_mode == "uh":
-            verdicts.append(
-                run_uh_experiment(
-                    problem, pert, grid, tol=config.tol, cap=config.cap,
-                    inner_tol=config.inner_tol, inner_cap=config.inner_cap,
-                )
-            )
-        else:
-            lam = (
-                config.lambda_phi
-                if config.lambda_phi is not None
-                else config.suggested_lambda_phi()
-            )
-            verdicts.append(
-                run_uhr_experiment(
-                    problem, pert, lam, grid, tol=config.tol, cap=config.cap,
-                    inner_tol=config.inner_tol, inner_cap=config.inner_cap,
-                )
-            )
+    try:
+        for eps in config.epsilons:
+            pert = _perturbation(config, grid, eps)
+            if config.stability_mode == "uh":
+                verdicts.append(run_uh_experiment(problem, pert, grid, **numerics))
+            else:
+                verdicts.append(run_uhr_experiment(problem, pert, lam, grid, **numerics))
+    except ConvergenceError as exc:
+        print(f"solve failed: {exc}", file=sys.stderr)
+        return 1
     csv = verdicts_to_csv(verdicts)
     _write(out, csv)
     if out is not None:
@@ -180,37 +174,18 @@ def cmd_verify(level: str, panels_fast: int = 128) -> int:
 
 
 def cmd_example(phi: float, panels: int, out: Optional[str]) -> int:
-    problem = paper_example_problem(phi=phi)
-    rhs = problem.rhs
-    certificate = cert_mod.build_certificate(problem)
-    print(f"K_f = {rhs.K_f!r}")
-    print(f"L_f = {rhs.L_f!r}")
-    print(f"delta_star = {rhs.delta_star!r}")
-    print(f"sigma_star = {rhs.sigma_star!r}")
-    print(f"rho_star = {rhs.rho_star!r}")
-    sys.stdout.write(certificate.as_text())
-
-    grid = LogGrid(problem.b, panels)
-    ok = certificate.existence_ok and certificate.uniqueness_ok
-    try:
-        u, report = picard_solve(problem, grid)
-    except ConvergenceError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
-    sys.stdout.write(_report_lines(report))
-    print(f"fide_residual = {residual_fide(u, problem)!r}")
-
-    verdict = run_uh_experiment(
-        problem, PerturbationSpec("constant", 1e-3), grid
+    rhs = paper_example_rhs()
+    for name in ("K_f", "L_f", "delta_star", "sigma_star", "rho_star"):
+        print(f"{name} = {getattr(rhs, name)!r}")
+    config = RunConfig(
+        alpha=1.0 / 3.0, beta_type=2.0 / 3.0, b=math.e, c1=2.0, c2=1.0, phi=phi,
+        rhs_kind=PAPER_EXAMPLE, panels=panels, epsilons=(1e-3,),
     )
-    print(CSV_HEADER)
-    print(verdict.csv_row())
-    ok = ok and verdict.passed
-
-    if out is not None:
-        f_grid, _ = _implicit_rhs_grid(problem.rhs, problem.order, grid, u)
-        _write(out, _solution_csv(u, f_grid))
-    return 0 if ok else 1
+    certified = cmd_certify(config, None) == 0
+    if cmd_solve(config, out) != 0:
+        return 1
+    stable = cmd_stability(config, None) == 0
+    return 0 if certified and stable else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -264,7 +239,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             return cmd_certify(config, args.out)
         return cmd_stability(config, args.out)
-    except (ConfigError, DomainError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, FileNotFoundError, MLOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,11 +104,6 @@ class GridFunction:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_profile(cls, grid: LogGrid, gamma_weight: float, profile) -> "GridFunction":
-        """Build from the weighted profile w(x) sampled at all log-nodes."""
-        return cls(grid, gamma_weight, profile(grid.log_nodes))
-
-    @classmethod
     def from_raw_callable(
         cls, grid: LogGrid, gamma_weight: float, fn, weighted_limit: float = 0.0
     ) -> "GridFunction":

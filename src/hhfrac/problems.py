@@ -181,9 +181,6 @@ class ProblemSpec:
         if self.c2 == 0.0:
             raise DomainError("boundary condition requires c2 != 0")
 
-    def grid(self, n_panels: int = 512) -> LogGrid:
-        return LogGrid(self.b, n_panels)
-
 
 def paper_example_problem(phi: float = 1.0) -> ProblemSpec:
     """The saturating implicit problem with alpha=1/3, beta=2/3, c1=2, c2=1, b=e.
@@ -234,13 +231,18 @@ def manufactured_solution(problem: ProblemSpec, grid: LogGrid) -> GridFunction:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a successive-approximation solve."""
+    """Outcome of a successive-approximation solve.
+
+    ``F_u`` is the implicit right-hand side at the returned iterate, in the
+    solution's weight class.
+    """
 
     iterations: int
     final_update_norm: float
     residual_norm: float
     bc_defect: float
     inner_iteration_max: int
+    F_u: GridFunction
 
     def __post_init__(self):
         if self.iterations < 0 or self.inner_iteration_max < 0:

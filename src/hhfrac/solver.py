@@ -6,10 +6,13 @@ The mixed-type integral form of the problem is
     F_u(t) = f(t, u(t), F_u(t)),
 
 with the scalar Z_u fixed by the two-point boundary data.  Each outer
-Picard sweep resolves the implicit right-hand side pointwise (an inner
-fixed point, contractive because L_f < 1), recomputes Z_u, and applies the
-Hadamard integral.  Initial-value problems and perturbed re-solves reuse
-the same engine with a frozen constant part.
+Picard sweep resolves the implicit right-hand side at every node at once
+(an inner fixed point, contractive because L_f < 1), recomputes Z_u, and
+applies the Hadamard integral.  One private engine runs every solve;
+``picard_solve``, ``solve_with_fixed_constant`` (perturbed re-solves) and
+``solve_ivp`` differ only in how Z is fixed, the shift of the right-hand
+side and the defect they report.  Each returns ``(u, report)``, and the
+report carries F_u at the returned iterate.
 """
 
 from __future__ import annotations
@@ -30,31 +33,6 @@ DEFAULT_TOL = 1e-10
 DEFAULT_CAP = 200
 DEFAULT_INNER_TOL = 1e-12
 DEFAULT_INNER_CAP = 100
-
-
-def solve_implicit_pointwise(
-    t: float, u_val: float, rhs: RhsSpec,
-    tol: float = DEFAULT_INNER_TOL, cap: int = DEFAULT_INNER_CAP,
-    shift: float = 0.0,
-) -> float:
-    """Solve z = f(t, u_val, z) + shift at a single point.
-
-    Affine entries return their algebraic solution directly; everything
-    else is plain fixed-point iteration, contractive since L_f < 1.
-    """
-    closed = rhs.implicit_solution(t, u_val, shift)
-    if closed is not None:
-        return float(closed)
-    z = float(rhs.evaluate(t, u_val, 0.0)) + shift
-    for _ in range(cap):
-        z_new = float(rhs.evaluate(t, u_val, z)) + shift
-        if abs(z_new - z) <= tol:
-            return z_new
-        z = z_new
-    raise ConvergenceError(
-        f"inner fixed point did not converge at t={t} "
-        f"(last residual {abs(z_new - z):.3e}, cap {cap})"
-    )
 
 
 def _implicit_rhs_grid(
@@ -138,13 +116,55 @@ def apply_Q(
     return _assemble(z, f_grid, problem.order)
 
 
-def _picard_engine(
+def _bc_defect(u: GridFunction, problem: ProblemSpec, f_grid: GridFunction) -> float:
+    """|c1 (I^(1-gamma) u)(1+) + c2 (I^(1-gamma) u)(b-) - phi| of a weighted candidate.
+
+    The value at 1+ is Gamma(gamma) times the stored weighted limit; the
+    integral part vanishes there because it gains a positive log-power.
+
+    When F(1+) is nonzero the solution carries an (log t)^alpha mode whose
+    second integration the product rule resolves only at order 1 + alpha.
+    That mode's coefficient is estimated from the right-hand-side grid and
+    integrated in closed form, which keeps the reported defect at the
+    smooth-data level.
+    """
+    order = problem.order
+    g = order.gamma
+    grid = u.grid
+    at_one = math.gamma(g) * u.weighted_limit
+    candidate = u
+    correction = 0.0
+    if grid.n_panels >= 3:
+        x = grid.log_nodes
+        f_rem_raw = (
+            f_grid.weighted_values[1:4] - f_grid.weighted_limit
+        ) * x[1:4] ** (g - 1.0)
+        f_at_one = 3.0 * f_rem_raw[0] - 3.0 * f_rem_raw[1] + f_rem_raw[2]
+        if f_at_one != 0.0:
+            mode_coeff = f_at_one / math.gamma(order.alpha + 1.0)
+            candidate = u - log_power(grid, g, order.alpha, coeff=mode_coeff)
+            logb = math.log(grid.b)
+            correction = (
+                f_at_one
+                / math.gamma(2.0 + order.alpha - g)
+                * logb ** (1.0 + order.alpha - g)
+            )
+    at_b = integral_value_at_b(candidate, 1.0 - g) + correction
+    return float(abs(problem.c1 * at_one + problem.c2 * at_b - problem.phi))
+
+
+def _solve(
     rhs: RhsSpec, order: Order, grid: LogGrid,
     z_rule: Callable[[GridFunction], float], z_start: float,
     shift: Optional[GridFunction],
+    defect: Callable[[GridFunction, GridFunction], float],
     tol: float, cap: int, inner_tol: float, inner_cap: int,
 ):
-    """Iterate u <- Z (log t)^(gamma-1) + I^alpha F_u until the increment drops."""
+    """Iterate u <- Z (log t)^(gamma-1) + I^alpha F_u until the increment drops.
+
+    ``z_rule`` maps F_u to Z, ``shift`` is added to the right-hand side and
+    ``defect(u, F_u)`` measures the side condition; returns (u, report).
+    """
     u = GridFunction(grid, order.gamma, np.full(grid.n_nodes, z_start))
     inner_max = 0
     history = []
@@ -165,49 +185,18 @@ def _picard_engine(
             f"(last increment {history[-1]:.3e})",
             history=history,
         )
-    # residual against one more application of the operator
+    # residual against one more application of the operator; its F_u is
+    # the right-hand side at the returned iterate
     f_grid, used = _implicit_rhs_grid(
         rhs, order, grid, u, shift=shift, tol=inner_tol, cap=inner_cap
     )
     inner_max = max(inner_max, used)
     residual = weighted_norm(_assemble(z_rule(f_grid), f_grid, order) - u)
-    return u, len(history), history[-1], residual, inner_max, f_grid
-
-
-def _bc_values(u: GridFunction, order: Order, f_grid: Optional[GridFunction] = None):
-    """(I^(1-gamma) u)(1+) and (I^(1-gamma) u)(b-) of a weighted candidate.
-
-    The value at 1+ is Gamma(gamma) times the stored weighted limit; the
-    integral part vanishes there because it gains a positive log-power.
-
-    When F(1+) is nonzero the solution carries an (log t)^alpha mode whose
-    second integration the product rule resolves only at order 1 + alpha.
-    Given the right-hand-side grid, that mode's coefficient is estimated
-    from the data and integrated in closed form, which keeps the reported
-    defect at the smooth-data level.
-    """
-    g = order.gamma
-    grid = u.grid
-    at_one = math.gamma(g) * u.weighted_limit
-    candidate = u
-    correction = 0.0
-    if f_grid is not None and grid.n_panels >= 3:
-        x = grid.log_nodes
-        f_rem_raw = (
-            f_grid.weighted_values[1:4] - f_grid.weighted_limit
-        ) * x[1:4] ** (g - 1.0)
-        f_at_one = 3.0 * f_rem_raw[0] - 3.0 * f_rem_raw[1] + f_rem_raw[2]
-        if f_at_one != 0.0:
-            mode_coeff = f_at_one / math.gamma(order.alpha + 1.0)
-            candidate = u - log_power(grid, g, order.alpha, coeff=mode_coeff)
-            logb = math.log(grid.b)
-            correction = (
-                f_at_one
-                / math.gamma(2.0 + order.alpha - g)
-                * logb ** (1.0 + order.alpha - g)
-            )
-    at_b = integral_value_at_b(candidate, 1.0 - g) + correction
-    return at_one, at_b
+    return u, SolveReport(
+        iterations=len(history), final_update_norm=history[-1],
+        residual_norm=residual, bc_defect=defect(u, f_grid),
+        inner_iteration_max=inner_max, F_u=f_grid,
+    )
 
 
 def picard_solve(
@@ -227,21 +216,13 @@ def picard_solve(
             f"contraction constant {a_const:.4f} >= 1; successive approximation "
             "may diverge", stacklevel=2
         )
-    order = problem.order
-    z0 = problem.phi / ((problem.c1 + problem.c2) * math.gamma(order.gamma))
-    u, iters, last_inc, residual, inner_max, f_grid = _picard_engine(
-        problem.rhs, order, grid,
-        z_rule=lambda f_grid: _z_from_rhs_grid(f_grid, problem),
-        z_start=z0, shift=None,
-        tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap,
+    z0 = problem.phi / ((problem.c1 + problem.c2) * math.gamma(problem.order.gamma))
+    return _solve(
+        problem.rhs, problem.order, grid,
+        lambda f_grid: _z_from_rhs_grid(f_grid, problem), z0, None,
+        lambda u, f_grid: _bc_defect(u, problem, f_grid),
+        tol, cap, inner_tol, inner_cap,
     )
-    at_one, at_b = _bc_values(u, order, f_grid)
-    defect = float(abs(problem.c1 * at_one + problem.c2 * at_b - problem.phi))
-    report = SolveReport(
-        iterations=iters, final_update_norm=last_inc,
-        residual_norm=residual, bc_defect=defect, inner_iteration_max=inner_max,
-    )
-    return u, report
 
 
 def solve_with_fixed_constant(
@@ -253,25 +234,17 @@ def solve_with_fixed_constant(
     """Solve with the (log t)^(gamma-1) coefficient frozen at ``z_fixed``.
 
     Used for perturbed re-solves that must share the unperturbed solution's
-    weighted limit at 1+, and for initial-value problems.  ``shift`` is an
-    additive perturbation h(t) of the right-hand side, as a grid function
-    in the solution's weight class.
+    weighted limit at 1+.  ``shift`` is an additive perturbation h(t) of
+    the right-hand side, as a grid function in the solution's weight class;
+    the report's ``F_u`` then includes it.
     """
     if shift is not None and (shift.grid.b, shift.grid.n_panels) != (grid.b, grid.n_panels):
         raise GridMismatchError("perturbation must live on the solve grid")
-    order = problem.order
-    u, iters, last_inc, residual, inner_max, f_grid = _picard_engine(
-        problem.rhs, order, grid,
-        z_rule=lambda f_grid: z_fixed, z_start=z_fixed, shift=shift,
-        tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap,
+    return _solve(
+        problem.rhs, problem.order, grid, lambda f_grid: z_fixed, z_fixed, shift,
+        lambda u, f_grid: _bc_defect(u, problem, f_grid),
+        tol, cap, inner_tol, inner_cap,
     )
-    at_one, at_b = _bc_values(u, order, f_grid)
-    defect = float(abs(problem.c1 * at_one + problem.c2 * at_b - problem.phi))
-    report = SolveReport(
-        iterations=iters, final_update_norm=last_inc,
-        residual_norm=residual, bc_defect=defect, inner_iteration_max=inner_max,
-    )
-    return u, report
 
 
 def solve_ivp(
@@ -283,17 +256,11 @@ def solve_ivp(
     if not 1.0 < b < math.inf:
         raise DomainError(f"solve_ivp requires a finite b > 1, got {b!r}")
     z0 = u0 / math.gamma(order.gamma)
-    u, iters, last_inc, residual, inner_max, _ = _picard_engine(
-        rhs, order, grid,
-        z_rule=lambda f_grid: z0, z_start=z0, shift=None,
-        tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap,
+    return _solve(
+        rhs, order, grid, lambda f_grid: z0, z0, None,
+        lambda u, f_grid: abs(math.gamma(order.gamma) * u.weighted_limit - u0),
+        tol, cap, inner_tol, inner_cap,
     )
-    defect = abs(math.gamma(order.gamma) * u.weighted_limit - u0)
-    report = SolveReport(
-        iterations=iters, final_update_norm=last_inc,
-        residual_norm=residual, bc_defect=defect, inner_iteration_max=inner_max,
-    )
-    return u, report
 
 
 def residual_fide(

@@ -1,9 +1,9 @@
-"""Special functions: Gamma, Beta and the one-parameter Mittag-Leffler function.
+"""Special functions: Beta, Gamma ratios and the one-parameter Mittag-Leffler function.
 
-Everything here is pure and reentrant.  Arguments are restricted to the
-positive-real ranges the rest of the library actually needs; out-of-range
-input raises :class:`~hhfrac.errors.DomainError` instead of silently
-returning inf/nan.
+Gamma itself is ``math.gamma`` throughout the library.  Everything here
+is pure and reentrant.  Arguments are restricted to the positive-real
+ranges the rest of the library actually needs; out-of-range input raises
+:class:`~hhfrac.errors.DomainError` instead of silently returning inf/nan.
 """
 
 from __future__ import annotations
@@ -15,18 +15,6 @@ from .errors import DomainError, ConvergenceError, MLOverflowError
 
 #: Default cap on the number of Mittag-Leffler series terms.
 ML_TERM_CAP = 10_000
-
-
-def gamma(x: float) -> float:
-    """Gamma function for x > 0.
-
-    Backed by the C library implementation (a Lanczos-type rational
-    approximation in double precision), which is more than sufficient for
-    the moderate positive arguments used here.
-    """
-    if not x > 0.0:
-        raise DomainError(f"gamma requires x > 0, got {x!r}")
-    return math.gamma(x)
 
 
 def beta(a: float, b: float) -> float:
@@ -116,7 +104,3 @@ def mittag_leffler(alpha: float, z: float, term_cap: int = ML_TERM_CAP) -> MLSer
         f"for alpha={alpha}, z={z}"
     )
 
-
-def mittag_leffler_value(alpha: float, z: float) -> float:
-    """Shorthand returning just E_alpha(z)."""
-    return mittag_leffler(alpha, z).value

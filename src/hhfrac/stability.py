@@ -128,23 +128,41 @@ class StabilityVerdict:
 
 
 def _two_solves(problem, perturbation, grid, tol, cap, inner_tol, inner_cap, rassias):
+    """Nodewise |u_tilde - u| for t >= t_1 and the weighted-limit deviation."""
     a_const = uniqueness_constant(problem)
     if a_const >= 1.0:
         raise DomainError(
             f"stability experiments require a contraction (A = {a_const:.4f} >= 1)"
         )
-    u, base_report = picard_solve(
+    u, _ = picard_solve(
         problem, grid, tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap
     )
     h = perturbation.realize(grid, problem.order.gamma)
     _assert_admissible(h, perturbation, rassias=rassias)
-    u_tilde, pert_report = solve_with_fixed_constant(
+    u_tilde, _ = solve_with_fixed_constant(
         problem, grid, z_fixed=u.weighted_limit, shift=h,
         tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap,
     )
     deviation = np.abs(u_tilde.raw_tail() - u.raw_tail())
-    wdev = abs(u_tilde.weighted_limit - u.weighted_limit)
-    return u, u_tilde, deviation, wdev, base_report, pert_report
+    return deviation, abs(u_tilde.weighted_limit - u.weighted_limit)
+
+
+def _verdict(modes, epsilon, deviation, bounds, constant, tol, wdev):
+    """Verdict at the node of least margin; a scalar bound is the UH case.
+
+    ``modes`` is (mode, generalized mode); epsilon = 1 realizes the
+    generalized mode, the bound with no free epsilon.
+    """
+    margins = bounds - deviation
+    worst = int(np.argmin(margins))
+    margin = float(margins[worst])
+    return StabilityVerdict(
+        mode=modes[1] if epsilon == 1.0 else modes[0], epsilon=epsilon,
+        observed_deviation=float(np.max(deviation)),
+        certified_bound=float(np.broadcast_to(bounds, deviation.shape)[worst]),
+        margin=margin, passed=margin >= -10.0 * tol * constant,
+        weighted_limit_deviation=wdev,
+    )
 
 
 def run_uh_experiment(
@@ -152,25 +170,14 @@ def run_uh_experiment(
     tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
     inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
 ) -> StabilityVerdict:
-    """Ulam-Hyers experiment: sup |u_tilde - u| against C_f epsilon.
-
-    epsilon = 1 realizes the generalized mode (the bound with no free
-    epsilon), which is how the verdict is labelled in that case.
-    """
+    """Ulam-Hyers experiment: sup |u_tilde - u| against C_f epsilon."""
     _, c_f = ulam_hyers_constant(problem)
-    _, _, deviation, wdev, _, _ = _two_solves(
+    deviation, wdev = _two_solves(
         problem, perturbation, grid, tol, cap, inner_tol, inner_cap, rassias=False
     )
-    observed = float(np.max(deviation))
-    bound = c_f * perturbation.epsilon
-    margin = bound - observed
-    slack = 10.0 * tol * c_f
-    mode = MODE_GENERALIZED_UH if perturbation.epsilon == 1.0 else MODE_UH
-    return StabilityVerdict(
-        mode=mode, epsilon=perturbation.epsilon,
-        observed_deviation=observed, certified_bound=bound,
-        margin=margin, passed=margin >= -slack,
-        weighted_limit_deviation=wdev,
+    return _verdict(
+        (MODE_UH, MODE_GENERALIZED_UH), perturbation.epsilon, deviation,
+        c_f * perturbation.epsilon, c_f, tol, wdev,
     )
 
 
@@ -189,21 +196,13 @@ def run_uhr_experiment(
     if perturbation.phi_profile is None:
         raise DomainError("Rassias experiments need a perturbation with a phi profile")
     _, c_f_phi = rassias_constant(problem, perturbation.phi_profile, lambda_phi)
-    _, _, deviation, wdev, _, _ = _two_solves(
+    deviation, wdev = _two_solves(
         problem, perturbation, grid, tol, cap, inner_tol, inner_cap, rassias=True
     )
-    phi_raw = perturbation.phi_profile.raw_tail()
-    bounds = c_f_phi * perturbation.epsilon * phi_raw
-    margins = bounds - deviation
-    worst = int(np.argmin(margins))
-    slack = 10.0 * tol * c_f_phi
-    mode = MODE_GENERALIZED_UHR if perturbation.epsilon == 1.0 else MODE_UHR
-    return StabilityVerdict(
-        mode=mode, epsilon=perturbation.epsilon,
-        observed_deviation=float(np.max(deviation)),
-        certified_bound=float(bounds[worst]),
-        margin=float(margins[worst]), passed=float(margins[worst]) >= -slack,
-        weighted_limit_deviation=wdev,
+    bounds = c_f_phi * perturbation.epsilon * perturbation.phi_profile.raw_tail()
+    return _verdict(
+        (MODE_UHR, MODE_GENERALIZED_UHR), perturbation.epsilon, deviation,
+        bounds, c_f_phi, tol, wdev,
     )
 
 

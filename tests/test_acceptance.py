@@ -12,7 +12,6 @@ import pytest
 
 import reference_values as ref
 from hhfrac.certificates import (
-    existence_constant_paper_arithmetic,
     existence_constants,
     rassias_constant,
     ulam_hyers_constant,
@@ -44,8 +43,7 @@ def test_criterion_1_uniqueness_constant(section5):
 
 
 def test_criterion_2_existence_constants(section5):
-    omega, _, _ = existence_constants(section5)
-    omega_pa = existence_constant_paper_arithmetic(section5)
+    omega, omega_pa, _, _ = existence_constants(section5)
     ok_pa = abs(omega_pa - 0.88) <= 0.01
     ok_literal = abs(omega - ref.OMEGA_LITERAL) <= 1e-8 * ref.OMEGA_LITERAL
     ok_below_one = omega < 1.0 and omega_pa < 1.0

@@ -6,7 +6,6 @@ import pytest
 import reference_values as ref
 from hhfrac.certificates import (
     build_certificate,
-    existence_constant_paper_arithmetic,
     existence_constants,
     gronwall_bound,
     rassias_constant,
@@ -37,13 +36,14 @@ class TestAgainstReferenceValues:
         )
 
     def test_existence_constants(self, section5):
-        omega, lam, radius = existence_constants(section5)
+        omega, _, lam, radius = existence_constants(section5)
         assert omega == pytest.approx(ref.OMEGA_LITERAL, rel=1e-10)
         assert lam == pytest.approx(ref.LAMBDA_CAP, rel=1e-10)
         assert radius == pytest.approx(ref.BALL_RADIUS, rel=1e-10)
 
     def test_paper_arithmetic_variant(self, section5):
-        assert existence_constant_paper_arithmetic(section5) == pytest.approx(
+        _, omega_pa, _, _ = existence_constants(section5)
+        assert omega_pa == pytest.approx(
             ref.OMEGA_PAPER_ARITHMETIC, rel=1e-10
         )
 
@@ -65,13 +65,14 @@ class TestAgainstReferenceValues:
 class TestStructure:
     def test_no_growth_means_zero_omega(self):
         problem = problem_with(sigma=0.0)
-        omega, lam, radius = existence_constants(problem)
+        omega, omega_pa, lam, radius = existence_constants(problem)
         assert omega == 0.0
+        assert omega_pa == 0.0
         assert radius == lam
 
     def test_b_to_one_limits(self):
         problem = problem_with(b=1.0 + 1e-12)
-        omega, lam, _ = existence_constants(problem)
+        omega, _, lam, _ = existence_constants(problem)
         assert omega == pytest.approx(0.0, abs=1e-3)
         assert lam == pytest.approx(
             abs(problem.phi / 3.0) / math.gamma(ORDER.gamma), rel=1e-3
@@ -97,7 +98,7 @@ class TestStructure:
         rows = []
         for b in bs:
             problem = problem_with(b=b)
-            omega, lam, _ = existence_constants(problem)
+            omega, _, lam, _ = existence_constants(problem)
             b_const, c_f = ulam_hyers_constant(problem)
             cert = build_certificate(problem)
             rows.append((omega, lam, uniqueness_constant(problem), b_const, c_f,

@@ -203,6 +203,31 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {cfg}:3: b: b must be finite and exceed 1"]
 
+    @pytest.mark.parametrize("command", ["certify", "stability"])
+    def test_gronwall_overflow_is_one_error_line(self, tmp_path, capsys, command):
+        # E_alpha(K_f/(1-L_f) (log b)^alpha) overflows for K_f/(1-L_f) = 6, b = 400
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(
+            "alpha = 1/3\nbeta = 0\nb = 400\nc1 = 1\nc2 = 1\nphi = 1\n"
+            "rhs = affine-in-uv\nrhs.a = 3\nrhs.c = 0.5\n"
+        )
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: Mittag-Leffler partial sum overflows")
+
+    def test_stability_solve_cap_is_one_failure_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(SECTION5_CFG.replace("stability.epsilon = 1e-2,1e-3", "cap = 2"))
+        assert main(["stability", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(
+            "solve failed: successive approximation did not converge within 2 sweeps"
+        )
+
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2
 

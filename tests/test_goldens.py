@@ -1,7 +1,9 @@
 """Golden-output regression: CLI outputs against files captured earlier.
 
 Each case runs ``python -m hhfrac.cli`` in a subprocess and compares its
-exit status, stdout and stderr with ``tests/goldens/<case>.txt``.
+exit status, stdout and stderr with ``tests/goldens/<case>.txt``.  The
+``*-out-*`` cases also pass ``--out`` and compare the solution CSV written
+there; they run at 64 panels to keep the files small.
 Non-numeric text must match exactly; every number must satisfy
 ``|new - old| <= 1e-8 |old| + 1e-15``, which admits last-digit movement
 from a change of summation order and nothing larger.
@@ -23,6 +25,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -38,6 +41,13 @@ CASES = {"example": ["example"]}
 for _cfg in CONFIGS:
     for _cmd in ("solve", "certify", "stability"):
         CASES[f"{_cmd}-{_cfg.stem}"] = [_cmd, "--config", f"configs/{_cfg.name}"]
+# cases whose --out file is part of the golden
+OUT_CASES = {"example-out": ["example", "--panels", "64"]}
+for _cfg in CONFIGS:
+    OUT_CASES[f"solve-out-{_cfg.stem}"] = [
+        "solve", "--config", f"configs/{_cfg.name}", "--panels", "64",
+    ]
+CASES.update(OUT_CASES)
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 # "<path>/hhfrac/<module>.py:<line>: <Category>: <message>" and the echoed
@@ -45,17 +55,24 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 _WARNING = re.compile(r"^\S*?hhfrac[/\\](\w+\.py):\d+: (\w+: .*\n)(?:  .*\n)?", re.M)
 
 
-def run_case(args) -> str:
+def run_case(name) -> str:
     """Run one CLI invocation and render it in the golden-file format."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "hhfrac.cli", *args],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
-    stderr = _WARNING.sub(r"hhfrac/\1: \2", proc.stderr)
-    return f"exit = {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{stderr}"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        args = CASES[name] + (["--out", str(out)] if name in OUT_CASES else [])
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhfrac.cli", *args],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        )
+        stderr = _WARNING.sub(r"hhfrac/\1: \2", proc.stderr)
+        text = f"exit = {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{stderr}"
+        if name in OUT_CASES:
+            written = out.read_text(encoding="utf-8") if out.exists() else "(none)\n"
+            text += f"--- out\n{written}"
+    return text
 
 
 def _split(text: str):
@@ -73,7 +90,7 @@ def test_every_config_has_goldens():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
-    actual = run_case(CASES[name])
+    actual = run_case(name)
     exp_text, exp_nums = _split(expected)
     act_text, act_nums = _split(actual)
     assert act_text == exp_text, f"{name}: non-numeric output changed:\n{actual}"
@@ -87,6 +104,6 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         sys.exit(__doc__)
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for case, case_args in CASES.items():
-        (GOLDEN_DIR / f"{case}.txt").write_text(run_case(case_args), encoding="utf-8")
+    for case in CASES:
+        (GOLDEN_DIR / f"{case}.txt").write_text(run_case(case), encoding="utf-8")
         print(f"wrote {case}")

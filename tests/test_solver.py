@@ -17,12 +17,13 @@ from hhfrac.problems import (
     table_rhs,
 )
 from hhfrac.solver import (
+    _implicit_rhs_grid,
     apply_Q,
     compute_Z,
     picard_solve,
     residual_fide,
-    solve_implicit_pointwise,
     solve_ivp,
+    solve_with_fixed_constant,
 )
 
 ORDER = Order(1.0 / 3.0, 2.0 / 3.0)
@@ -55,28 +56,46 @@ class TestProblemSpec:
             manufactured_rhs(ORDER, math.e, exponent=0.5)
 
 
+def constant_raw(grid, value):
+    """The grid function with raw value ``value`` at every node t > 1."""
+    return GridFunction.from_raw_callable(
+        grid, ORDER.gamma, lambda t: np.full(t.shape, value)
+    )
+
+
 class TestInnerSolve:
+    """The implicit right-hand side F_u = f(t, u, F_u) on the grid."""
+
     def test_v_independent_returns_direct_value(self):
         rhs = manufactured_rhs(ORDER, math.e, exponent=2.0)
-        t = 2.0
-        expected = float(rhs.evaluate(t, 0.0, 0.0))
-        assert solve_implicit_pointwise(t, 0.0, rhs) == expected
+        grid = LogGrid(math.e, 16)
+        f_grid, used = _implicit_rhs_grid(rhs, ORDER, grid, constant_raw(grid, 0.0))
+        expected = rhs.evaluate(grid.nodes[1:], 0.0, 0.0)
+        np.testing.assert_allclose(f_grid.raw_tail(), expected, rtol=1e-14, atol=0.0)
+        assert used == 1
 
     def test_affine_closed_form(self):
         rhs = affine_rhs(g0=0.4, g1=0.2, a=0.0, c=0.5, b=math.e)
-        t = 2.0
-        expected = (0.4 + 0.2 * math.log(t)) / (1.0 - 0.5)
-        assert solve_implicit_pointwise(t, 7.0, rhs) == pytest.approx(expected, rel=1e-14)
+        grid = LogGrid(math.e, 16)
+        f_grid, _ = _implicit_rhs_grid(rhs, ORDER, grid, constant_raw(grid, 7.0))
+        expected = (0.4 + 0.2 * grid.log_nodes[1:]) / (1.0 - 0.5)
+        np.testing.assert_allclose(f_grid.raw_tail(), expected, rtol=1e-14, atol=0.0)
 
     def test_saturating_example_fixed_point(self):
+        # the last node is t = e exactly, where log t = 1
         rhs = paper_example_rhs()
-        z = solve_implicit_pointwise(math.e, 1.0, rhs, tol=1e-15)
-        assert z == pytest.approx(ref.INNER_FIXED_POINT_AT_E, abs=1e-12)
+        grid = LogGrid(math.e, 16)
+        f_grid, _ = _implicit_rhs_grid(
+            rhs, ORDER, grid, constant_raw(grid, 1.0), tol=1e-15
+        )
+        assert f_grid.raw_tail()[-1] == pytest.approx(ref.INNER_FIXED_POINT_AT_E, abs=1e-12)
 
     def test_cap_exceeded_reports_location(self):
+        # one panel on [1, 2]: the only interior node is t = 2
         rhs = paper_example_rhs()
+        grid = LogGrid(2.0, 1)
         with pytest.raises(ConvergenceError) as err:
-            solve_implicit_pointwise(2.0, 1.0, rhs, tol=1e-15, cap=1)
+            _implicit_rhs_grid(rhs, ORDER, grid, constant_raw(grid, 1.0), tol=1e-15, cap=1)
         assert "t=2.0" in str(err.value)
 
 
@@ -204,11 +223,9 @@ class TestPicardSolve:
 
     def test_growth_bound_pointwise(self, section5, grid512, section5_solution):
         # |F_u| <= (delta* + sigma* |u|) / (1 - rho*) nodewise
-        from hhfrac.solver import _implicit_rhs_grid
-
-        u, _ = section5_solution
+        u, report = section5_solution
         rhs = section5.rhs
-        f_grid, _ = _implicit_rhs_grid(rhs, ORDER, grid512, u)
+        f_grid = report.F_u
         bound = (rhs.delta_star + rhs.sigma_star * np.abs(u.raw_tail())) / (
             1.0 - rhs.rho_star
         )
@@ -216,8 +233,6 @@ class TestPicardSolve:
 
     def test_lipschitz_bound_pointwise(self, section5, grid512):
         # |F_u - F_v| <= K_f/(1-L_f) |u - v| nodewise on random pairs
-        from hhfrac.solver import _implicit_rhs_grid
-
         rhs = section5.rhs
         factor = rhs.K_f / (1.0 - rhs.L_f)
         rng = np.random.default_rng(11)
@@ -228,6 +243,21 @@ class TestPicardSolve:
             fv, _ = _implicit_rhs_grid(rhs, ORDER, grid512, v)
             gap = np.abs(fu.raw_tail() - fv.raw_tail())
             assert np.all(gap <= factor * np.abs(u.raw_tail() - v.raw_tail()) + 1e-10)
+
+    def test_report_carries_rhs_at_solution(self, section5, grid512, section5_solution):
+        # bitwise what a fresh inner solve at the returned iterate gives
+        u, report = section5_solution
+        f_grid, _ = _implicit_rhs_grid(section5.rhs, ORDER, grid512, u)
+        np.testing.assert_array_equal(report.F_u.weighted_values, f_grid.weighted_values)
+
+    def test_perturbed_report_includes_shift(self, section5, grid512, section5_solution):
+        u, _ = section5_solution
+        h = log_power(grid512, ORDER.gamma, 0.0, coeff=1e-3)
+        u_tilde, report = solve_with_fixed_constant(
+            section5, grid512, z_fixed=u.weighted_limit, shift=h
+        )
+        f_grid, _ = _implicit_rhs_grid(section5.rhs, ORDER, grid512, u_tilde, shift=h)
+        np.testing.assert_array_equal(report.F_u.weighted_values, f_grid.weighted_values)
 
     def test_noncontractive_inputs_warn(self, grid512):
         problem = ProblemSpec(
