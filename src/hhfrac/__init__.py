@@ -50,7 +50,7 @@ from .solver import (
     solve_ivp,
     solve_with_fixed_constant,
 )
-from .specfun import MLSeriesResult, beta, mittag_leffler
+from .specfun import MLSeriesResult, beta, mittag_leffler, mittag_leffler_array
 from .stability import (
     PerturbationSpec,
     StabilityVerdict,
@@ -91,6 +91,7 @@ __all__ = [
     "manufactured_rhs",
     "manufactured_solution",
     "mittag_leffler",
+    "mittag_leffler_array",
     "paper_example_problem",
     "paper_example_rhs",
     "picard_solve",

@@ -30,7 +30,7 @@ from .grids import GridFunction, LogGrid
 from .hadamard import hadamard_integral
 from .problems import ProblemSpec
 from .specfun import beta as beta_fn
-from .specfun import mittag_leffler
+from .specfun import mittag_leffler, mittag_leffler_array
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,10 @@ class Certificate:
         lines.append(f"existence_ok = {'true' if self.existence_ok else 'false'}")
         lines.append(f"uniqueness_ok = {'true' if self.uniqueness_ok else 'false'}")
         return "\n".join(lines) + "\n"
+
+
+# slack of the nodewise lambda_phi comparison
+_LAMBDA_PHI_TOL = 1e-9
 
 
 def _c_ratio(problem: ProblemSpec) -> float:
@@ -149,34 +153,37 @@ def _growth(problem: ProblemSpec) -> float:
     return mittag_leffler(a, rhs.K_f / (1.0 - rhs.L_f) * math.log(problem.b) ** a).value
 
 
+def _b_const(problem: ProblemSpec) -> float:
+    """B, the integral-inequality constant of the Ulam-Hyers estimate."""
+    o = problem.order
+    g, a = o.gamma, o.alpha
+    logb = math.log(problem.b)
+    return _c_ratio(problem) / math.gamma(g) * logb**a / math.gamma(
+        2.0 - g + a
+    ) + logb**a / math.gamma(a + 1.0)
+
+
 def ulam_hyers_constant(problem: ProblemSpec):
     """(B, C_f): the integral-inequality constant and the Ulam-Hyers constant.
 
     C_f = B E_alpha(K_f/(1-L_f) (log b)^alpha), the Gronwall closure of the
     perturbation bound evaluated at the right endpoint.
     """
-    o = problem.order
-    g, a = o.gamma, o.alpha
-    logb = math.log(problem.b)
-    b_const = _c_ratio(problem) / math.gamma(g) * logb**a / math.gamma(
-        2.0 - g + a
-    ) + logb**a / math.gamma(a + 1.0)
+    b_const = _b_const(problem)
     return b_const, b_const * _growth(problem)
 
 
-def rassias_constant(
+def _verified_rassias_factor(
     problem: ProblemSpec,
     phi_weight: GridFunction,
     lambda_phi: float,
-    tol: float = 1e-9,
-):
-    """(B_tilde, C_f_phi) after machine-verifying the comparison constant.
+    tol: float,
+    stacklevel: int,
+) -> float:
+    """B~ lambda_phi^2 once lambda_phi passes the nodewise comparison.
 
-    The caller supplies lambda_phi; it is accepted only if
-    (I^alpha phi)(t_i) <= lambda_phi phi(t_i) + tol at every node i >= 1.
-    The profile must be positive there; a non-monotone profile is allowed
-    (the canonical (log t)^(gamma-1) profile is decreasing) but triggers a
-    warning since the classical statement assumes an increasing one.
+    ``stacklevel`` attributes the monotonicity warning to the public
+    function's caller.
     """
     if not lambda_phi > 0.0:
         raise CertificateRejected("lambda_phi must be positive")
@@ -186,7 +193,7 @@ def rassias_constant(
     if np.any(np.diff(phi_raw) < -tol):
         warnings.warn(
             "phi profile is not increasing on the grid; proceeding anyway",
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     integral_raw = hadamard_integral(phi_weight, problem.order.alpha).raw_tail()
     excess = integral_raw - lambda_phi * phi_raw
@@ -198,10 +205,26 @@ def rassias_constant(
             f"(first node indices {nodes}, worst excess {float(np.max(excess)):.3e})",
             violations=nodes,
         )
-
-    b_tilde = _b_tilde(problem)
     # the displayed product carries lambda_phi twice
-    return b_tilde, b_tilde * lambda_phi**2 * _growth(problem)
+    return _b_tilde(problem) * lambda_phi**2
+
+
+def rassias_constant(
+    problem: ProblemSpec,
+    phi_weight: GridFunction,
+    lambda_phi: float,
+    tol: float = _LAMBDA_PHI_TOL,
+):
+    """(B_tilde, C_f_phi) after machine-verifying the comparison constant.
+
+    The caller supplies lambda_phi; it is accepted only if
+    (I^alpha phi)(t_i) <= lambda_phi phi(t_i) + tol at every node i >= 1.
+    The profile must be positive there; a non-monotone profile is allowed
+    (the canonical (log t)^(gamma-1) profile is decreasing) but triggers a
+    warning since the classical statement assumes an increasing one.
+    """
+    factor = _verified_rassias_factor(problem, phi_weight, lambda_phi, tol, stacklevel=3)
+    return _b_tilde(problem), factor * _growth(problem)
 
 
 def gronwall_bound(
@@ -211,7 +234,13 @@ def gronwall_bound(
 
     ``w_values`` must be nondecreasing along the grid; that is the
     hypothesis under which the kernel-series bound collapses to this
-    closed form.
+    closed form.  The factors come from one
+    :func:`~hhfrac.specfun.mittag_leffler_array` call, which stops each
+    node's series by the scalar :func:`~hhfrac.specfun.mittag_leffler`
+    rule (first term below machine epsilon times the running sum) and
+    agrees with the scalar value to a few ulps; the factor at t = 1 is
+    exactly 1, and an argument that overflows the scalar series at the
+    last node raises ``MLOverflowError``.
     """
     if not k > 0.0:
         raise DomainError(f"gronwall_bound requires k > 0, got {k!r}")
@@ -222,11 +251,8 @@ def gronwall_bound(
         raise DomainError(f"expected {grid.n_nodes} values, got shape {w.shape}")
     if np.any(np.diff(w) < -1e-14 * np.maximum(1.0, np.abs(w[:-1]))):
         raise DomainError("gronwall_bound requires a nondecreasing profile")
-    x = grid.log_nodes
-    factors = np.array(
-        [mittag_leffler(alpha, k * math.gamma(alpha) * xi**alpha).value for xi in x]
-    )
-    return w * factors
+    z = k * math.gamma(alpha) * grid.log_nodes**alpha
+    return w * mittag_leffler_array(alpha, z)
 
 
 def build_certificate(
@@ -237,12 +263,17 @@ def build_certificate(
     """Assemble every constant for one problem (Rassias parts optional)."""
     omega, omega_pa, lam, radius = existence_constants(problem)
     a_const = uniqueness_constant(problem)
-    b_const, c_f = ulam_hyers_constant(problem)
+    # one growth series serves both C_f and C_f_phi
+    growth = _growth(problem)
+    b_const = _b_const(problem)
+    c_f = b_const * growth
     b_tilde, c_f_phi = _b_tilde(problem), None
     if lambda_phi is not None:
         if phi_weight is None:
             raise DomainError("lambda_phi requires a phi profile to verify against")
-        _, c_f_phi = rassias_constant(problem, phi_weight, lambda_phi)
+        c_f_phi = _verified_rassias_factor(
+            problem, phi_weight, lambda_phi, _LAMBDA_PHI_TOL, stacklevel=2
+        ) * growth
     return Certificate(
         omega=omega,
         omega_paper_variant=omega_pa,

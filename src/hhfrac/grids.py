@@ -38,16 +38,31 @@ class Order:
 
 @dataclass(frozen=True)
 class LogGrid:
-    """Nodes t_0 = 1 < ... < t_N = b with uniformly spaced logarithms."""
+    """Nodes t_0 = 1 < ... < t_N = b with uniformly spaced logarithms.
+
+    ``log_nodes`` and ``nodes`` are built once, on construction, and are
+    read-only; they take no part in equality, hashing or the repr.
+    """
 
     b: float
     n_panels: int
+    _log_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1.0 < self.b < math.inf:
             raise DomainError(f"grid requires a finite b > 1, got {self.b!r}")
         if self.n_panels < 1:
             raise DomainError(f"grid requires at least one panel, got {self.n_panels!r}")
+        x = np.arange(self.n_nodes, dtype=float) * self.h
+        x[-1] = math.log(self.b)
+        t = np.exp(x)
+        t[0] = 1.0
+        t[-1] = self.b
+        x.setflags(write=False)
+        t.setflags(write=False)
+        object.__setattr__(self, "_log_nodes", x)
+        object.__setattr__(self, "_nodes", t)
 
     @property
     def h(self) -> float:
@@ -59,16 +74,11 @@ class LogGrid:
 
     @property
     def log_nodes(self) -> np.ndarray:
-        x = np.arange(self.n_nodes, dtype=float) * self.h
-        x[-1] = math.log(self.b)
-        return x
+        return self._log_nodes
 
     @property
     def nodes(self) -> np.ndarray:
-        t = np.exp(self.log_nodes)
-        t[0] = 1.0
-        t[-1] = self.b
-        return t
+        return self._nodes
 
 
 class GridFunction:

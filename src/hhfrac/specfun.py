@@ -1,8 +1,12 @@
 """Special functions: Beta, Gamma ratios and the one-parameter Mittag-Leffler function.
 
-Gamma itself is ``math.gamma`` throughout the library.  Everything here
-is pure and reentrant.  Arguments are restricted to the positive-real
-ranges the rest of the library actually needs; out-of-range input raises
+Gamma itself is ``math.gamma`` throughout the library.  The Mittag-Leffler
+series comes in two forms that share one stopping rule: the scalar
+:func:`mittag_leffler`, the reference the certificate constants use, and
+:func:`mittag_leffler_array`, which evaluates a whole grid of arguments
+with one numpy term matrix.  Everything here is pure and reentrant.
+Arguments are restricted to the positive-real ranges the rest of the
+library actually needs; out-of-range input raises
 :class:`~hhfrac.errors.DomainError` instead of silently returning inf/nan.
 """
 
@@ -11,10 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ConvergenceError, MLOverflowError
 
 #: Default cap on the number of Mittag-Leffler series terms.
 ML_TERM_CAP = 10_000
+
+# elements of one term-matrix block in mittag_leffler_array (512 KiB)
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def beta(a: float, b: float) -> float:
@@ -104,3 +113,54 @@ def mittag_leffler(alpha: float, z: float, term_cap: int = ML_TERM_CAP) -> MLSer
         f"for alpha={alpha}, z={z}"
     )
 
+
+def mittag_leffler_array(alpha: float, z) -> np.ndarray:
+    """E_alpha at every entry of an array of arguments z >= 0.
+
+    Applies the stopping rule of :func:`mittag_leffler` to each entry: the
+    series stops at the first term below machine epsilon times the
+    running sum of the terms before it.  That ratio grows with z for every
+    term index, so the scalar series at ``max(z)`` fixes a term count K
+    that bounds every entry's stopping index; it also raises the scalar's
+    ``MLOverflowError`` and ``ConvergenceError``.  The K terms of all
+    entries are then one ``exp`` of a term-matrix block, the running sums
+    one ``cumsum`` and the stopping indices one ``argmax``.  Entries with
+    z = 0 are exactly 1; every other entry agrees with the scalar value to
+    a few ulps (``exp`` and the final pairwise summation are numpy's,
+    where the scalar uses ``math.exp`` and ``math.fsum``).
+    """
+    if not (0.0 < alpha <= 1.0):
+        raise DomainError(f"mittag_leffler_array requires alpha in (0, 1], got {alpha!r}")
+    z = np.asarray(z, dtype=float)
+    if not np.all(z >= 0.0):
+        raise DomainError("mittag_leffler_array requires every z >= 0")
+    out = np.ones(z.shape)
+    positive = z > 0.0
+    if not positive.any():
+        return out
+    n_terms = mittag_leffler(alpha, float(np.max(z))).terms_used
+    # column j holds term j, for j = 0 .. n_terms (term 0 = exp(0) = 1)
+    j = np.arange(n_terms + 1, dtype=float)
+    log_gamma = np.array([math.lgamma(k * alpha + 1.0) for k in range(n_terms + 1)])
+    eps = math.ulp(1.0)
+    # math.log as in the scalar series: j log z amplifies a one-ulp
+    # difference in log z by the term index
+    log_z = np.fromiter(map(math.log, z[positive].tolist()), dtype=float)
+    values = np.empty(log_z.shape)
+    rows = max(1, _BLOCK_ELEMENTS // j.size)
+    for start in range(0, log_z.size, rows):
+        terms = np.outer(log_z[start : start + rows], j)
+        terms -= log_gamma
+        np.exp(terms, out=terms)
+        # running sums accumulated in the scalar series' order
+        partial = np.cumsum(terms, axis=1)
+        # the first dropped term of each row; the last column, always
+        # marked, stops a row that rounding kept running through all terms
+        dropped = np.zeros(terms.shape, dtype=bool)
+        np.less(terms[:, 1:], eps * partial[:, :-1], out=dropped[:, :-1])
+        dropped[:, -1] = True
+        stop = np.argmax(dropped, axis=1)
+        terms *= j <= stop[:, None]
+        values[start : start + rows] = terms.sum(axis=1)
+    out[positive] = values
+    return out

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_values as ref
 from hhfrac.certificates import (
@@ -12,12 +14,14 @@ from hhfrac.certificates import (
     ulam_hyers_constant,
     uniqueness_constant,
 )
-from hhfrac.errors import CertificateRejected, DomainError
+from hhfrac.config import load_config
+from hhfrac.errors import CertificateRejected, ConvergenceError, DomainError, MLOverflowError
 from hhfrac.grids import LogGrid, Order, log_power
 from hhfrac.problems import ProblemSpec, RhsSpec
 from hhfrac.specfun import mittag_leffler
 
 ORDER = Order(1.0 / 3.0, 2.0 / 3.0)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def problem_with(b=math.e, phi=1.0, K=1.0 / 3.0, L=1.0 / 3.0,
@@ -166,6 +170,39 @@ class TestGronwallBound:
             total += coeff * val
         assert 1.0 + total == pytest.approx(float(bound[-1]), rel=1e-8)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(min_value=1e-6, max_value=1.0, exclude_min=True, exclude_max=True),
+        k=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+        log_b=st.floats(min_value=0.1, max_value=2.0),
+        panels=st.integers(min_value=1, max_value=600),
+    )
+    def test_matches_scalar_series_per_node(self, alpha, k, log_b, panels):
+        grid = LogGrid(math.exp(log_b), panels)
+        w = np.linspace(0.5, 2.0, grid.n_nodes)
+        z = k * math.gamma(alpha) * grid.log_nodes**alpha
+        try:
+            mittag_leffler(alpha, float(z[-1]))
+        except (MLOverflowError, ConvergenceError) as exc:
+            # the scalar series at the last node fails the same way
+            with pytest.raises(type(exc)):
+                gronwall_bound(grid, w, k=k, alpha=alpha)
+            return
+        bound = gronwall_bound(grid, w, k=k, alpha=alpha)
+        assert bound[0] == w[0]
+        expected = w * np.array([mittag_leffler(alpha, float(zi)).value for zi in z])
+        np.testing.assert_allclose(bound, expected, rtol=2e-15, atol=0.0)
+
+    def test_overflow_at_last_node_raises(self):
+        # E_(1/3) overflows at z = 50 (specfun's own overflow case)
+        grid = LogGrid(math.e, 32)
+        alpha = 1.0 / 3.0
+        k = 50.0 / math.gamma(alpha)
+        with pytest.raises(MLOverflowError):
+            mittag_leffler(alpha, k * math.gamma(alpha))
+        with pytest.raises(MLOverflowError):
+            gronwall_bound(grid, np.ones(grid.n_nodes), k=k, alpha=alpha)
+
     def test_requires_nondecreasing_profile(self):
         grid = LogGrid(math.e, 16)
         w = np.ones(grid.n_nodes)
@@ -235,6 +272,37 @@ class TestCertificateRecord:
         assert cert.lambda_phi == ref.LAMBDA_PHI_CRITICAL
         assert cert.c_f_phi == pytest.approx(ref.C_F_PHI, rel=1e-10)
         assert "c_f_phi = " in cert.as_text()
+
+    def test_growth_series_evaluated_once(self, monkeypatch):
+        import hhfrac.certificates as cert_mod
+
+        config = load_config(str(ROOT / "configs" / "uhr_section5.cfg"))
+        grid = config.grid()
+        problem = config.problem(grid)
+        phi = config.phi_profile(grid)
+        calls = []
+
+        def counting(alpha, z, *args, **kwargs):
+            calls.append(z)
+            return mittag_leffler(alpha, z, *args, **kwargs)
+
+        monkeypatch.setattr(cert_mod, "mittag_leffler", counting)
+        with pytest.warns(UserWarning):
+            cert = build_certificate(problem, phi_weight=phi, lambda_phi=config.lambda_phi)
+        assert len(calls) == 1
+        # the shared factor gives the standalone constants bit for bit
+        with pytest.warns(UserWarning):
+            _, c_f_phi = rassias_constant(problem, phi, config.lambda_phi)
+        assert (cert.c_f, cert.c_f_phi) == (ulam_hyers_constant(problem)[1], c_f_phi)
+
+    def test_monotonicity_warning_names_the_caller(self, section5, grid512):
+        phi = log_power(grid512, ORDER.gamma, ORDER.gamma - 1.0)
+        with pytest.warns(UserWarning) as record:
+            rassias_constant(section5, phi, ref.LAMBDA_PHI_CRITICAL)
+        assert record[0].filename == __file__
+        with pytest.warns(UserWarning) as record:
+            build_certificate(section5, phi_weight=phi, lambda_phi=ref.LAMBDA_PHI_CRITICAL)
+        assert Path(record[0].filename).name == "certificates.py"
 
     def test_ball_radius_only_with_existence(self):
         cert = build_certificate(problem_with(sigma=3.5))

@@ -63,6 +63,20 @@ class TestLogGrid:
         with pytest.raises(DomainError, match="finite b > 1"):
             LogGrid(b, 8)
 
+    def test_node_arrays_reject_writes(self):
+        grid = LogGrid(math.e, 8)
+        for arr in (grid.log_nodes, grid.nodes):
+            with pytest.raises(ValueError):
+                arr[1] = 0.0
+        assert grid.log_nodes[1] == grid.h
+
+    def test_equality_hash_and_repr_ignore_node_cache(self):
+        a, b = LogGrid(math.e, 8), LogGrid(math.e, 8)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != LogGrid(math.e, 16)
+        assert repr(a) == "LogGrid(b=2.718281828459045, n_panels=8)"
+
 
 class TestGridFunction:
     def test_length_checked(self):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import reference_values as ref
 from hhfrac.errors import ConvergenceError, DomainError, MLOverflowError
-from hhfrac.specfun import beta, gamma_ratio, mittag_leffler
+from hhfrac.specfun import beta, gamma_ratio, mittag_leffler, mittag_leffler_array
 
 
 class TestGamma:
@@ -125,3 +125,58 @@ class TestMittagLeffler:
     def test_term_cap(self):
         with pytest.raises(ConvergenceError):
             mittag_leffler(1.0 / 3.0, 3.0, term_cap=5)
+
+
+def _mpmath_series(alpha, z, dps=50):
+    """E_alpha(z) summed in 50-digit arithmetic until the terms fall below 1e-60."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, zz = mpmath.mpf(alpha), mpmath.mpf(z)
+        total, k = mpmath.mpf(0), 0
+        while True:
+            term = zz**k / mpmath.gamma(k * a + 1)
+            total += term
+            if term < mpmath.mpf(10) ** -60 * total:
+                return float(total)
+            k += 1
+
+
+class TestMittagLefflerArray:
+    @pytest.mark.parametrize("alpha", [0.2, 1.0 / 3.0, 0.75, 1.0])
+    def test_against_mpmath_series(self, alpha):
+        # E_alpha(z) ~ exp(z^(1/alpha)) / alpha: arguments kept where the
+        # exponent stays small, so double-precision exp is not the limit
+        z = np.array([0.0, 1e-3, 0.3, 1.0, 1.7])
+        values = mittag_leffler_array(alpha, z)
+        assert values[0] == 1.0
+        for zi, v in zip(z[1:], values[1:]):
+            assert v == pytest.approx(_mpmath_series(alpha, zi), rel=1e-14)
+
+    def test_order_of_arguments_is_free(self):
+        z = np.array([2.0, 0.0, 0.5, 1.0, 0.25])
+        values = mittag_leffler_array(0.5, z)
+        np.testing.assert_allclose(
+            values, [mittag_leffler(0.5, float(zi)).value for zi in z], rtol=2e-15
+        )
+        assert values[1] == 1.0
+
+    def test_all_zero_arguments(self):
+        np.testing.assert_array_equal(mittag_leffler_array(0.5, np.zeros(4)), np.ones(4))
+
+    def test_overflow_at_last_argument_raises(self):
+        z = np.linspace(0.0, 50.0, 11)
+        with pytest.raises(MLOverflowError):
+            mittag_leffler(1.0 / 3.0, float(z[-1]))
+        with pytest.raises(MLOverflowError):
+            mittag_leffler_array(1.0 / 3.0, z)
+
+    def test_domain_errors(self):
+        with pytest.raises(DomainError):
+            mittag_leffler_array(0.0, np.ones(3))
+        with pytest.raises(DomainError):
+            mittag_leffler_array(1.5, np.ones(3))
+        with pytest.raises(DomainError):
+            mittag_leffler_array(0.5, np.array([0.0, -0.1]))
+        with pytest.raises(DomainError):
+            mittag_leffler_array(0.5, np.array([0.0, math.nan]))
