@@ -54,6 +54,7 @@ from .specfun import MLSeriesResult, beta, mittag_leffler, mittag_leffler_array
 from .stability import (
     PerturbationSpec,
     StabilityVerdict,
+    run_experiments,
     run_uh_experiment,
     run_uhr_experiment,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "picard_solve",
     "rassias_constant",
     "residual_fide",
+    "run_experiments",
     "run_uh_experiment",
     "run_uhr_experiment",
     "solve_ivp",

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CertificateRejected, DomainError
+from .errors import CertificateRejected, DomainError, MLOverflowError
 from .grids import GridFunction, LogGrid
 from .hadamard import hadamard_integral
 from .problems import ProblemSpec
@@ -240,7 +240,8 @@ def gronwall_bound(
     rule (first term below machine epsilon times the running sum) and
     agrees with the scalar value to a few ulps; the factor at t = 1 is
     exactly 1, and an argument that overflows the scalar series at the
-    last node raises ``MLOverflowError``.
+    last node, or an alpha so small that Gamma(alpha) overflows, raises
+    ``MLOverflowError``.
     """
     if not k > 0.0:
         raise DomainError(f"gronwall_bound requires k > 0, got {k!r}")
@@ -251,7 +252,13 @@ def gronwall_bound(
         raise DomainError(f"expected {grid.n_nodes} values, got shape {w.shape}")
     if np.any(np.diff(w) < -1e-14 * np.maximum(1.0, np.abs(w[:-1]))):
         raise DomainError("gronwall_bound requires a nondecreasing profile")
-    z = k * math.gamma(alpha) * grid.log_nodes**alpha
+    try:
+        gamma_alpha = math.gamma(alpha)
+    except OverflowError:
+        raise MLOverflowError(
+            f"Gamma(alpha) overflows double precision at alpha={alpha!r}"
+        ) from None
+    z = k * gamma_alpha * grid.log_nodes**alpha
     return w * mittag_leffler_array(alpha, z)
 
 

@@ -11,9 +11,11 @@ Subcommands:
 
 Exit status is 0 exactly when every check the command ran has passed.
 Configuration and domain errors, an overflowing Mittag-Leffler factor
-among them, print one ``error:`` line and exit 2; a solve that reaches its
-cap prints one ``solve failed:`` line and exits 1.  Outputs are
-deterministic: identical configurations produce bytewise identical files.
+among them, print one ``error:`` line and exit 2.  A solve that reaches its
+cap prints one ``solve failed:`` line and a rejected ``lambda_phi`` one
+``certificate rejected:`` line (``certify`` and ``stability``); both exit 1.
+Outputs are deterministic: identical configurations produce bytewise
+identical files.
 """
 
 from __future__ import annotations
@@ -29,12 +31,7 @@ from .errors import CertificateRejected, ConvergenceError, DomainError, MLOverfl
 from .grids import GridFunction
 from .problems import PAPER_EXAMPLE, paper_example_rhs
 from .solver import picard_solve, residual_fide
-from .stability import (
-    PerturbationSpec,
-    run_uh_experiment,
-    run_uhr_experiment,
-    verdicts_to_csv,
-)
+from .stability import PerturbationSpec, run_experiments, verdicts_to_csv
 from .verify import run_convergence_suite, run_identity_suite
 
 SOLUTION_HEADER = "t,log_t,weighted_value,raw_value,F_u"
@@ -117,7 +114,8 @@ def cmd_certify(config: RunConfig, out: Optional[str]) -> int:
     return 0 if (certificate.existence_ok and certificate.uniqueness_ok) else 1
 
 
-def _perturbation(config: RunConfig, grid, eps: float) -> PerturbationSpec:
+def _perturbations(config: RunConfig, grid) -> list[PerturbationSpec]:
+    """One perturbation per configured epsilon; they share one phi profile."""
     kind = config.perturbation_kind
     if kind == "supplied-table":
         if config.stability_table is None:
@@ -128,29 +126,31 @@ def _perturbation(config: RunConfig, grid, eps: float) -> PerturbationSpec:
                 f"the grid needs {grid.n_nodes}"
             )
         table = GridFunction(grid, config.order.gamma, config.stability_table)
-        return PerturbationSpec(kind, eps, table=table)
+        return [PerturbationSpec(kind, eps, table=table) for eps in config.epsilons]
     if kind == "log-power" or config.stability_mode == "uhr":
-        return PerturbationSpec(
-            "log-power", eps, phi_profile=config.phi_profile(grid)
-        )
-    return PerturbationSpec(kind, eps)
+        phi = config.phi_profile(grid)
+        return [
+            PerturbationSpec("log-power", eps, phi_profile=phi)
+            for eps in config.epsilons
+        ]
+    return [PerturbationSpec(kind, eps) for eps in config.epsilons]
 
 
 def cmd_stability(config: RunConfig, out: Optional[str]) -> int:
     grid = config.grid()
     problem = config.problem(grid)
-    lam = config.lambda_phi
-    if lam is None:
-        lam = config.suggested_lambda_phi()
-    numerics = _numerics(config)
-    verdicts = []
+    lam = None
+    if config.stability_mode == "uhr":
+        lam = config.lambda_phi
+        if lam is None:
+            lam = config.suggested_lambda_phi()
     try:
-        for eps in config.epsilons:
-            pert = _perturbation(config, grid, eps)
-            if config.stability_mode == "uh":
-                verdicts.append(run_uh_experiment(problem, pert, grid, **numerics))
-            else:
-                verdicts.append(run_uhr_experiment(problem, pert, lam, grid, **numerics))
+        verdicts = run_experiments(
+            problem, _perturbations(config, grid), grid, lam, **_numerics(config)
+        )
+    except CertificateRejected as exc:
+        print(f"certificate rejected: {exc}", file=sys.stderr)
+        return 1
     except ConvergenceError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1

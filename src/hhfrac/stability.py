@@ -1,10 +1,14 @@
 """Empirical Ulam-stability experiments.
 
-An experiment solves the problem twice: once as given, once with the
-right-hand side shifted by a constructed perturbation h, and compares the
-observed deviation of the two solutions against the certified bound
-(C_f epsilon for Ulam-Hyers, C_f_phi epsilon phi(t) nodewise for the
-Rassias variant).
+An experiment compares the solution u of the problem as given with the
+solution of the problem whose right-hand side is shifted by a constructed
+perturbation h, and checks the observed deviation against the certified
+bound (C_f epsilon for Ulam-Hyers, C_f_phi epsilon phi(t) nodewise for the
+Rassias variant).  u does not depend on h, so :func:`run_experiments`
+runs a whole list of perturbations against one unperturbed solve, after
+every constant, contraction and admissibility check has passed;
+:func:`run_uh_experiment` and :func:`run_uhr_experiment` are its
+one-perturbation cases.
 
 The perturbed solution is *defined* as the solution of the h-shifted
 equation whose (log t)^(gamma-1) coefficient is frozen at the unperturbed
@@ -127,26 +131,6 @@ class StabilityVerdict:
         )
 
 
-def _two_solves(problem, perturbation, grid, tol, cap, inner_tol, inner_cap, rassias):
-    """Nodewise |u_tilde - u| for t >= t_1 and the weighted-limit deviation."""
-    a_const = uniqueness_constant(problem)
-    if a_const >= 1.0:
-        raise DomainError(
-            f"stability experiments require a contraction (A = {a_const:.4f} >= 1)"
-        )
-    u, _ = picard_solve(
-        problem, grid, tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap
-    )
-    h = perturbation.realize(grid, problem.order.gamma)
-    _assert_admissible(h, perturbation, rassias=rassias)
-    u_tilde, _ = solve_with_fixed_constant(
-        problem, grid, z_fixed=u.weighted_limit, shift=h,
-        tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap,
-    )
-    deviation = np.abs(u_tilde.raw_tail() - u.raw_tail())
-    return deviation, abs(u_tilde.weighted_limit - u.weighted_limit)
-
-
 def _verdict(modes, epsilon, deviation, bounds, constant, tol, wdev):
     """Verdict at the node of least margin; a scalar bound is the UH case.
 
@@ -165,20 +149,76 @@ def _verdict(modes, epsilon, deviation, bounds, constant, tol, wdev):
     )
 
 
+def run_experiments(
+    problem: ProblemSpec, perturbations: list[PerturbationSpec], grid: LogGrid,
+    lambda_phi: Optional[float] = None,
+    tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
+    inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
+) -> list[StabilityVerdict]:
+    """One verdict per perturbation, all against a single unperturbed solve.
+
+    Ulam-Hyers mode when ``lambda_phi`` is None, Rassias mode otherwise.
+    Every check runs before any solve: the constant (C_f, or C_f_phi once
+    per distinct phi profile after lambda_phi is machine-verified), the
+    contraction A < 1 and each realized perturbation's admissibility.  The
+    perturbed solutions share the unperturbed weighted limit at 1+.
+    """
+    perturbations = list(perturbations)
+    rassias = lambda_phi is not None
+    if rassias:
+        c_f_phi = {}  # id(phi profile) -> C_f_phi
+        for p in perturbations:
+            if p.phi_profile is None:
+                raise DomainError(
+                    "Rassias experiments need a perturbation with a phi profile"
+                )
+            if id(p.phi_profile) not in c_f_phi:
+                c_f_phi[id(p.phi_profile)] = rassias_constant(
+                    problem, p.phi_profile, lambda_phi
+                )[1]
+    else:
+        _, c_f = ulam_hyers_constant(problem)
+    a_const = uniqueness_constant(problem)
+    if a_const >= 1.0:
+        raise DomainError(
+            f"stability experiments require a contraction (A = {a_const:.4f} >= 1)"
+        )
+    shifts = []
+    for p in perturbations:
+        h = p.realize(grid, problem.order.gamma)
+        _assert_admissible(h, p, rassias=rassias)
+        shifts.append(h)
+    numerics = dict(tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap)
+    u, _ = picard_solve(problem, grid, **numerics)
+    u_raw = u.raw_tail()
+    verdicts = []
+    for p, h in zip(perturbations, shifts):
+        u_tilde, _ = solve_with_fixed_constant(
+            problem, grid, z_fixed=u.weighted_limit, shift=h, **numerics
+        )
+        deviation = np.abs(u_tilde.raw_tail() - u_raw)
+        wdev = abs(u_tilde.weighted_limit - u.weighted_limit)
+        if rassias:
+            constant = c_f_phi[id(p.phi_profile)]
+            bounds = constant * p.epsilon * p.phi_profile.raw_tail()
+            modes = (MODE_UHR, MODE_GENERALIZED_UHR)
+        else:
+            constant, bounds = c_f, c_f * p.epsilon
+            modes = (MODE_UH, MODE_GENERALIZED_UH)
+        verdicts.append(_verdict(modes, p.epsilon, deviation, bounds, constant, tol, wdev))
+    return verdicts
+
+
 def run_uh_experiment(
     problem: ProblemSpec, perturbation: PerturbationSpec, grid: LogGrid,
     tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
     inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
 ) -> StabilityVerdict:
     """Ulam-Hyers experiment: sup |u_tilde - u| against C_f epsilon."""
-    _, c_f = ulam_hyers_constant(problem)
-    deviation, wdev = _two_solves(
-        problem, perturbation, grid, tol, cap, inner_tol, inner_cap, rassias=False
-    )
-    return _verdict(
-        (MODE_UH, MODE_GENERALIZED_UH), perturbation.epsilon, deviation,
-        c_f * perturbation.epsilon, c_f, tol, wdev,
-    )
+    return run_experiments(
+        problem, [perturbation], grid,
+        tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap,
+    )[0]
 
 
 def run_uhr_experiment(
@@ -193,17 +233,10 @@ def run_uhr_experiment(
     certificate aborts the experiment.  The verdict aggregates the worst
     node margin and reports the bound at that node.
     """
-    if perturbation.phi_profile is None:
-        raise DomainError("Rassias experiments need a perturbation with a phi profile")
-    _, c_f_phi = rassias_constant(problem, perturbation.phi_profile, lambda_phi)
-    deviation, wdev = _two_solves(
-        problem, perturbation, grid, tol, cap, inner_tol, inner_cap, rassias=True
-    )
-    bounds = c_f_phi * perturbation.epsilon * perturbation.phi_profile.raw_tail()
-    return _verdict(
-        (MODE_UHR, MODE_GENERALIZED_UHR), perturbation.epsilon, deviation,
-        bounds, c_f_phi, tol, wdev,
-    )
+    return run_experiments(
+        problem, [perturbation], grid, lambda_phi,
+        tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap,
+    )[0]
 
 
 def verdicts_to_csv(verdicts) -> str:

@@ -203,6 +203,12 @@ class TestGronwallBound:
         with pytest.raises(MLOverflowError):
             gronwall_bound(grid, np.ones(grid.n_nodes), k=k, alpha=alpha)
 
+    def test_gamma_overflow_raises_ml_overflow(self):
+        # Gamma(1e-310) ~ 1e310 exceeds double precision
+        grid = LogGrid(math.e, 4)
+        with pytest.raises(MLOverflowError, match="alpha=1e-310"):
+            gronwall_bound(grid, np.ones(grid.n_nodes), k=1.0, alpha=1e-310)
+
     def test_requires_nondecreasing_profile(self):
         grid = LogGrid(math.e, 16)
         w = np.ones(grid.n_nodes)

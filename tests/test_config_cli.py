@@ -228,6 +228,21 @@ class TestCli:
             "solve failed: successive approximation did not converge within 2 sweeps"
         )
 
+    def test_stability_rejected_lambda_phi_is_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "uhr.cfg"
+        cfg.write_text(
+            SECTION5_CFG
+            + "stability.mode = uhr\nstability.phi = critical-log-power\n"
+            + "stability.lambda_phi = 0.5\n"
+        )
+        with pytest.warns(UserWarning, match="not increasing"):
+            code = main(["stability", "--config", str(cfg)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("certificate rejected: lambda_phi=0.5 fails at")
+
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2
 

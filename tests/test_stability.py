@@ -1,12 +1,14 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference_values as ref
+import hhfrac.stability as stability_mod
 from hhfrac.certificates import gronwall_bound, ulam_hyers_constant
-from hhfrac.errors import DomainError, GridMismatchError
+from hhfrac.errors import CertificateRejected, DomainError, GridMismatchError
 from hhfrac.grids import GridFunction, LogGrid, Order, log_power
 from hhfrac.problems import ProblemSpec, affine_rhs, manufactured_problem
 from hhfrac.solver import picard_solve, solve_with_fixed_constant
@@ -16,6 +18,7 @@ from hhfrac.stability import (
     MODE_UH,
     MODE_UHR,
     PerturbationSpec,
+    run_experiments,
     run_uh_experiment,
     run_uhr_experiment,
     verdicts_to_csv,
@@ -24,8 +27,25 @@ from hhfrac.stability import (
 ORDER = Order(1.0 / 3.0, 2.0 / 3.0)
 
 
+EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def critical_profile(grid):
     return log_power(grid, ORDER.gamma, ORDER.gamma - 1.0)
+
+
+def count_calls(monkeypatch, name):
+    """Replace ``hhfrac.stability.<name>`` by a wrapper; returns its call list."""
+    calls = []
+    original = getattr(stability_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stability_mod, name, counted)
+    return calls
 
 
 class TestPerturbationSpec:
@@ -202,8 +222,6 @@ class TestUlamHyersRassias:
     def test_bad_lambda_rejected_before_solving(self, section5, grid512):
         phi = critical_profile(grid512)
         spec = PerturbationSpec("log-power", 1e-3, phi_profile=phi)
-        from hhfrac.errors import CertificateRejected
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(CertificateRejected):
@@ -229,3 +247,92 @@ class TestDeterminismAndSerialization:
         assert lines[1].startswith("UH,0.01,")
         assert lines[1].endswith(",true")
         assert "\r" not in csv
+
+
+class TestSharedUnperturbedSolve:
+    def test_uh_list_solves_unperturbed_once(self, section5, grid512, monkeypatch):
+        solves = count_calls(monkeypatch, "picard_solve")
+        perturbations = [PerturbationSpec("constant", eps) for eps in EPSILONS]
+        verdicts = run_experiments(section5, perturbations, grid512)
+        assert len(solves) == 1
+        assert [v.epsilon for v in verdicts] == list(EPSILONS)
+
+    def test_uhr_list_verifies_lambda_phi_once(self, section5, grid512, monkeypatch):
+        solves = count_calls(monkeypatch, "picard_solve")
+        constants = count_calls(monkeypatch, "rassias_constant")
+        phi = critical_profile(grid512)
+        perturbations = [
+            PerturbationSpec("log-power", eps, phi_profile=phi) for eps in EPSILONS
+        ]
+        with pytest.warns(UserWarning, match="not increasing"):
+            run_experiments(section5, perturbations, grid512, ref.LAMBDA_PHI_CRITICAL)
+        assert len(solves) == 1
+        assert len(constants) == 1
+
+    def test_uh_verdicts_equal_one_experiment_per_epsilon(self, section5, grid512):
+        perturbations = [PerturbationSpec("constant", eps) for eps in EPSILONS]
+        assert run_experiments(section5, perturbations, grid512) == [
+            run_uh_experiment(section5, p, grid512) for p in perturbations
+        ]
+
+    def test_uhr_verdicts_equal_one_experiment_per_epsilon(self, section5, grid512):
+        phi = critical_profile(grid512)
+        perturbations = [
+            PerturbationSpec("log-power", eps, phi_profile=phi) for eps in EPSILONS
+        ]
+        lam = ref.LAMBDA_PHI_CRITICAL
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            shared = run_experiments(section5, perturbations, grid512, lam)
+            single = [run_uhr_experiment(section5, p, lam, grid512) for p in perturbations]
+        assert shared == single
+
+    def test_rejected_lambda_phi_before_any_solve(self, section5, grid512, monkeypatch):
+        solves = count_calls(monkeypatch, "picard_solve")
+        phi = critical_profile(grid512)
+        perturbations = [
+            PerturbationSpec("log-power", eps, phi_profile=phi) for eps in EPSILONS
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(CertificateRejected):
+                run_experiments(section5, perturbations, grid512, 0.5)
+        assert solves == []
+
+    def test_missing_contraction_before_any_solve(self, grid512, monkeypatch):
+        solves = count_calls(monkeypatch, "picard_solve")
+        problem = ProblemSpec(
+            order=ORDER, b=math.e, c1=2.0, c2=1.0, phi=0.0,
+            rhs=affine_rhs(0.1, 0.0, 2.0, 0.0, math.e),
+        )
+        perturbations = [PerturbationSpec("constant", eps) for eps in EPSILONS]
+        with pytest.raises(DomainError, match="contraction"):
+            run_experiments(problem, perturbations, grid512)
+        assert solves == []
+
+    def test_inadmissible_later_perturbation_before_any_solve(
+        self, section5, grid512, monkeypatch
+    ):
+        solves = count_calls(monkeypatch, "picard_solve")
+        w = np.zeros(grid512.n_nodes)
+        w[40] = 10.0 * grid512.log_nodes[40] ** (1.0 - ORDER.gamma)
+        table = GridFunction(grid512, ORDER.gamma, w * 1e-3)
+        perturbations = [
+            PerturbationSpec("constant", 1e-2),
+            PerturbationSpec("supplied-table", 1e-3, table=table),
+        ]
+        with pytest.raises(DomainError, match="admissibility"):
+            run_experiments(section5, perturbations, grid512)
+        assert solves == []
+
+    @pytest.mark.parametrize("name", ["sweep_uh", "sweep_uhr"])
+    def test_cli_solves_unperturbed_once(self, name, monkeypatch, capsys):
+        from hhfrac.cli import main
+
+        solves = count_calls(monkeypatch, "picard_solve")
+        cfg = ROOT / "configs" / f"{name}.cfg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["stability", "--config", str(cfg), "--panels", "64"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + len(EPSILONS)
+        assert len(solves) == 1
