@@ -2,10 +2,11 @@
 problems with the Hilfer-Hadamard derivative on [1, b].
 
 The library discretizes the equivalent mixed-type integral equation on a
-log-uniform grid, solves it by successive approximation with a pointwise
-inner fixed point for the implicit right-hand side, computes the
-existence/uniqueness/stability constants in closed form, and validates the
-Ulam-type stability bounds by perturbation experiments.
+log-uniform grid, solves it by successive approximation with a
+closed-form implicit solve per catalog entry for the implicit right-hand
+side, computes the existence/uniqueness/stability constants in closed
+form, and validates the Ulam-type stability bounds by perturbation
+experiments.
 """
 
 from .certificates import (

@@ -72,18 +72,11 @@ def _report_lines(report) -> str:
     )
 
 
-def _numerics(config: RunConfig) -> dict:
-    return dict(
-        tol=config.tol, cap=config.cap,
-        inner_tol=config.inner_tol, inner_cap=config.inner_cap,
-    )
-
-
 def cmd_solve(config: RunConfig, out: Optional[str]) -> int:
     grid = config.grid()
     problem = config.problem(grid)
     try:
-        u, report = picard_solve(problem, grid, **_numerics(config))
+        u, report = picard_solve(problem, grid, tol=config.tol, cap=config.cap)
     except ConvergenceError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
@@ -146,7 +139,8 @@ def cmd_stability(config: RunConfig, out: Optional[str]) -> int:
             lam = config.suggested_lambda_phi()
     try:
         verdicts = run_experiments(
-            problem, _perturbations(config, grid), grid, lam, **_numerics(config)
+            problem, _perturbations(config, grid), grid, lam,
+            tol=config.tol, cap=config.cap,
         )
     except CertificateRejected as exc:
         print(f"certificate rejected: {exc}", file=sys.stderr)

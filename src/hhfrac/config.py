@@ -12,7 +12,7 @@ Recognized keys::
     rhs.g0 rhs.g1 rhs.a rhs.c                     affine-in-uv
     rhs.table                                     custom-table (comma list,
                                                   weighted values, N+1 long)
-    panels, tol, cap, inner_tol, inner_cap        numerics
+    panels, tol, cap                     numerics
     stability.mode                       uh | uhr
     stability.perturbation               constant | log-power | supplied-table
     stability.epsilon                    float or comma list
@@ -51,7 +51,7 @@ _RHS_PARAM_KEYS = {
     "rhs.exponent", "rhs.coeff", "rhs.critical_coeff",
     "rhs.g0", "rhs.g1", "rhs.a", "rhs.c", "rhs.table",
 }
-_NUMERIC_KEYS = {"panels", "tol", "cap", "inner_tol", "inner_cap"}
+_NUMERIC_KEYS = {"panels", "tol", "cap"}
 _STABILITY_KEYS = {
     "stability.mode", "stability.perturbation", "stability.epsilon",
     "stability.phi", "stability.lambda_phi", "stability.table",
@@ -75,8 +75,6 @@ class RunConfig:
     panels: int = 512
     tol: float = 1e-10
     cap: int = 200
-    inner_tol: float = 1e-12
-    inner_cap: int = 100
     stability_mode: str = "uh"
     perturbation_kind: str = "constant"
     epsilons: tuple = (1e-3,)
@@ -251,8 +249,6 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
         panels=intval("panels", 512),
         tol=num("tol", 1e-10),
         cap=intval("cap", 200),
-        inner_tol=num("inner_tol", 1e-12),
-        inner_cap=intval("inner_cap", 100),
         stability_mode=mode,
         perturbation_kind=pert,
         epsilons=epsilons,

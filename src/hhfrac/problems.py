@@ -76,13 +76,28 @@ class RhsSpec:
         return w * x ** (self.table.gamma_weight - 1.0) + 0.0 * u
 
     def implicit_solution(self, t, u, shift=0.0):
-        """Closed-form z with z = f(t, u, z) + shift, or None if it must be iterated."""
+        """The root z of z = f(t, u, z) + shift, in closed form for every kind.
+
+        For the paper example z = q + P |z|/(1+|z|) with P = 1/(t(2+t)) and
+        q = P (1 + |u|/(1+|u|)) + shift.  The root has the sign s of q
+        (+1 at q = 0), and w = |z| is the nonnegative root of
+        w^2 + B w - |q| = 0 with B = 1 - |q| - s P, taken in the form that
+        does not cancel for either sign of B.
+        """
+        if self.kind == PAPER_EXAMPLE:
+            c = 1.0 / (t * (2.0 + t))
+            q = c * (1.0 + np.abs(u) / (1.0 + np.abs(u))) + shift
+            s = np.where(q < 0.0, -1.0, 1.0)
+            aq = np.abs(q)
+            bq = 1.0 - aq - s * c
+            root = np.sqrt(bq * bq + 4.0 * aq)
+            w = np.where(bq >= 0.0, 2.0 * aq / (bq + root), 0.5 * (root - bq))
+            return s * w
         if self.kind == AFFINE:
             p = self.params
             return (p["g0"] + p["g1"] * np.log(t) + p["a"] * u + shift) / (1.0 - p["c"])
-        if self.L_f == 0.0:
-            return self.evaluate(t, u, 0.0) + shift
-        return None
+        # the remaining kinds do not depend on v
+        return self.evaluate(t, u, 0.0) + shift
 
     def weighted_limit(self, u_weighted_limit: float, gamma: float) -> float:
         """lim_{t->1+} (log t)^(1-gamma) F_u(t) for u with the given weighted limit."""
@@ -234,7 +249,8 @@ class SolveReport:
     """Outcome of a successive-approximation solve.
 
     ``F_u`` is the implicit right-hand side at the returned iterate, in the
-    solution's weight class.
+    solution's weight class.  ``inner_iteration_max`` is always 1: every
+    catalog entry solves its implicit equation in one closed-form step.
     """
 
     iterations: int

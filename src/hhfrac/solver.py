@@ -7,12 +7,13 @@ The mixed-type integral form of the problem is
 
 with the scalar Z_u fixed by the two-point boundary data.  Each outer
 Picard sweep resolves the implicit right-hand side at every node at once
-(an inner fixed point, contractive because L_f < 1), recomputes Z_u, and
-applies the Hadamard integral.  One private engine runs every solve;
-``picard_solve``, ``solve_with_fixed_constant`` (perturbed re-solves) and
-``solve_ivp`` differ only in how Z is fixed, the shift of the right-hand
-side and the defect they report.  Each returns ``(u, report)``, and the
-report carries F_u at the returned iterate.
+(closed-form implicit solve per catalog entry, unique because L_f < 1),
+recomputes Z_u, and applies the Hadamard integral.  One private engine
+runs every solve; ``picard_solve``, ``solve_with_fixed_constant``
+(perturbed re-solves) and ``solve_ivp`` differ only in how Z is fixed,
+the shift of the right-hand side and the defect they report.  Each
+returns ``(u, report)``, and the report carries F_u at the returned
+iterate.
 """
 
 from __future__ import annotations
@@ -31,49 +32,23 @@ from .problems import ProblemSpec, RhsSpec, SolveReport
 
 DEFAULT_TOL = 1e-10
 DEFAULT_CAP = 200
-DEFAULT_INNER_TOL = 1e-12
+# unused by the solver; perfbench/workloads.py reads it at import
 DEFAULT_INNER_CAP = 100
 
 
 def _implicit_rhs_grid(
     rhs: RhsSpec, order: Order, grid: LogGrid, u: GridFunction,
     shift: Optional[GridFunction] = None,
-    tol: float = DEFAULT_INNER_TOL, cap: int = DEFAULT_INNER_CAP,
-):
-    """F_u on the grid (weight class gamma) and the worst inner iteration count."""
+) -> GridFunction:
+    """F_u on the grid, in weight class gamma."""
     g = order.gamma
-    t = grid.nodes
-    x = grid.log_nodes
-    u_raw = u.raw_tail()
     s_raw = shift.raw_tail() if shift is not None else 0.0
     s_w0 = shift.weighted_limit if shift is not None else 0.0
-
-    closed = rhs.implicit_solution(t[1:], u_raw, s_raw)
-    if closed is not None:
-        f_raw = np.asarray(closed, dtype=float)
-        inner_used = 1
-    else:
-        z = rhs.evaluate(t[1:], u_raw, 0.0) + s_raw
-        inner_used = 0
-        for k in range(1, cap + 1):
-            z_new = rhs.evaluate(t[1:], u_raw, z) + s_raw
-            delta = np.abs(z_new - z)
-            z = z_new
-            if np.max(delta) <= tol:
-                inner_used = k
-                break
-        else:
-            worst = int(np.argmax(delta))
-            raise ConvergenceError(
-                f"inner fixed point did not converge at node {1 + worst} "
-                f"(t={t[1 + worst]}, residual {delta[worst]:.3e}, cap {cap})"
-            )
-        f_raw = z
-
+    f_raw = rhs.implicit_solution(grid.nodes[1:], u.raw_tail(), s_raw)
     w = np.empty(grid.n_nodes)
     w[0] = rhs.weighted_limit(u.weighted_limit, g) + s_w0
-    w[1:] = f_raw * x[1:] ** (1.0 - g)
-    return GridFunction(grid, g, w), inner_used
+    w[1:] = f_raw * grid.log_nodes[1:] ** (1.0 - g)
+    return GridFunction(grid, g, w)
 
 
 def _z_from_rhs_grid(f_grid: GridFunction, problem: ProblemSpec) -> float:
@@ -85,14 +60,9 @@ def _z_from_rhs_grid(f_grid: GridFunction, problem: ProblemSpec) -> float:
     return (problem.phi / csum - problem.c2 / csum * tail) / math.gamma(order.gamma)
 
 
-def compute_Z(
-    u: GridFunction, problem: ProblemSpec,
-    inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
-) -> float:
+def compute_Z(u: GridFunction, problem: ProblemSpec) -> float:
     """Boundary-determined constant part for the candidate u (F_u solved first)."""
-    f_grid, _ = _implicit_rhs_grid(
-        problem.rhs, problem.order, u.grid, u, tol=inner_tol, cap=inner_cap
-    )
+    f_grid = _implicit_rhs_grid(problem.rhs, problem.order, u.grid, u)
     return _z_from_rhs_grid(f_grid, problem)
 
 
@@ -104,14 +74,9 @@ def _assemble(z: float, f_grid: GridFunction, order: Order) -> GridFunction:
     )
 
 
-def apply_Q(
-    u: GridFunction, problem: ProblemSpec,
-    inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
-) -> GridFunction:
+def apply_Q(u: GridFunction, problem: ProblemSpec) -> GridFunction:
     """One application of the fixed-point operator of the mixed-type equation."""
-    f_grid, _ = _implicit_rhs_grid(
-        problem.rhs, problem.order, u.grid, u, tol=inner_tol, cap=inner_cap
-    )
+    f_grid = _implicit_rhs_grid(problem.rhs, problem.order, u.grid, u)
     z = _z_from_rhs_grid(f_grid, problem)
     return _assemble(z, f_grid, problem.order)
 
@@ -158,7 +123,7 @@ def _solve(
     z_rule: Callable[[GridFunction], float], z_start: float,
     shift: Optional[GridFunction],
     defect: Callable[[GridFunction, GridFunction], float],
-    tol: float, cap: int, inner_tol: float, inner_cap: int,
+    tol: float, cap: int,
 ):
     """Iterate u <- Z (log t)^(gamma-1) + I^alpha F_u until the increment drops.
 
@@ -166,13 +131,9 @@ def _solve(
     ``defect(u, F_u)`` measures the side condition; returns (u, report).
     """
     u = GridFunction(grid, order.gamma, np.full(grid.n_nodes, z_start))
-    inner_max = 0
     history = []
     for _ in range(cap):
-        f_grid, used = _implicit_rhs_grid(
-            rhs, order, grid, u, shift=shift, tol=inner_tol, cap=inner_cap
-        )
-        inner_max = max(inner_max, used)
+        f_grid = _implicit_rhs_grid(rhs, order, grid, u, shift=shift)
         u_next = _assemble(z_rule(f_grid), f_grid, order)
         increment = weighted_norm(u_next - u)
         history.append(increment)
@@ -187,22 +148,18 @@ def _solve(
         )
     # residual against one more application of the operator; its F_u is
     # the right-hand side at the returned iterate
-    f_grid, used = _implicit_rhs_grid(
-        rhs, order, grid, u, shift=shift, tol=inner_tol, cap=inner_cap
-    )
-    inner_max = max(inner_max, used)
+    f_grid = _implicit_rhs_grid(rhs, order, grid, u, shift=shift)
     residual = weighted_norm(_assemble(z_rule(f_grid), f_grid, order) - u)
     return u, SolveReport(
         iterations=len(history), final_update_norm=history[-1],
         residual_norm=residual, bc_defect=defect(u, f_grid),
-        inner_iteration_max=inner_max, F_u=f_grid,
+        inner_iteration_max=1, F_u=f_grid,
     )
 
 
 def picard_solve(
     problem: ProblemSpec, grid: LogGrid,
     tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
-    inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
 ):
     """Solve the boundary-value problem; returns (solution, report).
 
@@ -221,7 +178,7 @@ def picard_solve(
         problem.rhs, problem.order, grid,
         lambda f_grid: _z_from_rhs_grid(f_grid, problem), z0, None,
         lambda u, f_grid: _bc_defect(u, problem, f_grid),
-        tol, cap, inner_tol, inner_cap,
+        tol, cap,
     )
 
 
@@ -229,7 +186,6 @@ def solve_with_fixed_constant(
     problem: ProblemSpec, grid: LogGrid, z_fixed: float,
     shift: Optional[GridFunction] = None,
     tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
-    inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
 ):
     """Solve with the (log t)^(gamma-1) coefficient frozen at ``z_fixed``.
 
@@ -243,14 +199,13 @@ def solve_with_fixed_constant(
     return _solve(
         problem.rhs, problem.order, grid, lambda f_grid: z_fixed, z_fixed, shift,
         lambda u, f_grid: _bc_defect(u, problem, f_grid),
-        tol, cap, inner_tol, inner_cap,
+        tol, cap,
     )
 
 
 def solve_ivp(
     order: Order, b: float, u0: float, rhs: RhsSpec, grid: LogGrid,
     tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
-    inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
 ):
     """Initial-value variant: u = u0 (log t)^(gamma-1)/Gamma(gamma) + I^alpha F_u."""
     if not 1.0 < b < math.inf:
@@ -259,14 +214,11 @@ def solve_ivp(
     return _solve(
         rhs, order, grid, lambda f_grid: z0, z0, None,
         lambda u, f_grid: abs(math.gamma(order.gamma) * u.weighted_limit - u0),
-        tol, cap, inner_tol, inner_cap,
+        tol, cap,
     )
 
 
-def residual_fide(
-    u: GridFunction, problem: ProblemSpec,
-    inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
-) -> float:
+def residual_fide(u: GridFunction, problem: ProblemSpec) -> float:
     """Weighted sup of D^(alpha,beta) u - F_u over interior nodes.
 
     Nodes next to both endpoints are excluded: the one-sided stencils of
@@ -278,9 +230,7 @@ def residual_fide(
     grid = u.grid
     order = problem.order
     d = hilfer_hadamard_derivative(u, order)
-    f_grid, _ = _implicit_rhs_grid(
-        problem.rhs, order, grid, u, tol=inner_tol, cap=inner_cap
-    )
+    f_grid = _implicit_rhs_grid(problem.rhs, order, grid, u)
     lo = max(2, grid.n_panels // 64) + 1
     hi = grid.n_panels - 2
     if lo > hi:

@@ -32,17 +32,10 @@ from typing import Optional
 import numpy as np
 
 from .certificates import rassias_constant, ulam_hyers_constant, uniqueness_constant
-from .errors import DomainError
+from .errors import DomainError, GridMismatchError
 from .grids import GridFunction, LogGrid
 from .problems import ProblemSpec
-from .solver import (
-    DEFAULT_CAP,
-    DEFAULT_INNER_CAP,
-    DEFAULT_INNER_TOL,
-    DEFAULT_TOL,
-    picard_solve,
-    solve_with_fixed_constant,
-)
+from .solver import DEFAULT_CAP, DEFAULT_TOL, picard_solve, solve_with_fixed_constant
 
 CONSTANT = "constant"
 LOG_POWER = "log-power"
@@ -153,15 +146,15 @@ def run_experiments(
     problem: ProblemSpec, perturbations: list[PerturbationSpec], grid: LogGrid,
     lambda_phi: Optional[float] = None,
     tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
-    inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
 ) -> list[StabilityVerdict]:
     """One verdict per perturbation, all against a single unperturbed solve.
 
     Ulam-Hyers mode when ``lambda_phi`` is None, Rassias mode otherwise.
     Every check runs before any solve: the constant (C_f, or C_f_phi once
     per distinct phi profile after lambda_phi is machine-verified), the
-    contraction A < 1 and each realized perturbation's admissibility.  The
-    perturbed solutions share the unperturbed weighted limit at 1+.
+    contraction A < 1, and that each realized perturbation lives on
+    ``grid`` and is admissible.  The perturbed solutions share the
+    unperturbed weighted limit at 1+.
     """
     perturbations = list(perturbations)
     rassias = lambda_phi is not None
@@ -186,15 +179,16 @@ def run_experiments(
     shifts = []
     for p in perturbations:
         h = p.realize(grid, problem.order.gamma)
+        if h.grid != grid:
+            raise GridMismatchError("perturbation must live on the solve grid")
         _assert_admissible(h, p, rassias=rassias)
         shifts.append(h)
-    numerics = dict(tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap)
-    u, _ = picard_solve(problem, grid, **numerics)
+    u, _ = picard_solve(problem, grid, tol=tol, cap=cap)
     u_raw = u.raw_tail()
     verdicts = []
     for p, h in zip(perturbations, shifts):
         u_tilde, _ = solve_with_fixed_constant(
-            problem, grid, z_fixed=u.weighted_limit, shift=h, **numerics
+            problem, grid, z_fixed=u.weighted_limit, shift=h, tol=tol, cap=cap
         )
         deviation = np.abs(u_tilde.raw_tail() - u_raw)
         wdev = abs(u_tilde.weighted_limit - u.weighted_limit)
@@ -212,20 +206,15 @@ def run_experiments(
 def run_uh_experiment(
     problem: ProblemSpec, perturbation: PerturbationSpec, grid: LogGrid,
     tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
-    inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
 ) -> StabilityVerdict:
     """Ulam-Hyers experiment: sup |u_tilde - u| against C_f epsilon."""
-    return run_experiments(
-        problem, [perturbation], grid,
-        tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap,
-    )[0]
+    return run_experiments(problem, [perturbation], grid, tol=tol, cap=cap)[0]
 
 
 def run_uhr_experiment(
     problem: ProblemSpec, perturbation: PerturbationSpec, lambda_phi: float,
     grid: LogGrid,
     tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
-    inner_tol: float = DEFAULT_INNER_TOL, inner_cap: int = DEFAULT_INNER_CAP,
 ) -> StabilityVerdict:
     """Ulam-Hyers-Rassias experiment with nodewise bound C_f_phi epsilon phi(t).
 
@@ -233,10 +222,7 @@ def run_uhr_experiment(
     certificate aborts the experiment.  The verdict aggregates the worst
     node margin and reports the bound at that node.
     """
-    return run_experiments(
-        problem, [perturbation], grid, lambda_phi,
-        tol=tol, cap=cap, inner_tol=inner_tol, inner_cap=inner_cap,
-    )[0]
+    return run_experiments(problem, [perturbation], grid, lambda_phi, tol, cap)[0]
 
 
 def verdicts_to_csv(verdicts) -> str:

@@ -203,6 +203,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {cfg}:3: b: b must be finite and exceed 1"]
 
+    @pytest.mark.parametrize("key, value", [("inner_cap", "5"), ("inner_tol", "1e-12")])
+    def test_removed_inner_solve_keys_are_unknown(self, tmp_path, capsys, key, value):
+        # the implicit right-hand side is solved in closed form; no inner
+        # iteration is left to tune
+        cfg = tmp_path / "inner.cfg"
+        cfg.write_text(SECTION5_CFG + f"{key} = {value}\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {cfg}:9: unknown key {key!r}"]
+
     @pytest.mark.parametrize("command", ["certify", "stability"])
     def test_gronwall_overflow_is_one_error_line(self, tmp_path, capsys, command):
         # E_alpha(K_f/(1-L_f) (log b)^alpha) overflows for K_f/(1-L_f) = 6, b = 400

@@ -56,6 +56,41 @@ class TestProblemSpec:
             manufactured_rhs(ORDER, math.e, exponent=0.5)
 
 
+EPS = np.finfo(float).eps
+
+
+def _bisected_root(t, u, shift, guess):
+    """Root of z = P (1 + |u|/(1+|u|) + |z|/(1+|z|)) + shift, P = 1/(t(2+t)).
+
+    40-digit bisection on the exact values of the double inputs.
+    h(z) = z - q - P |z|/(1+|z|) has slope >= 1 - P > 0, and the root lies
+    in [-(|q| + P), |q| + P].  That bracket is narrowed to guess +- 1e-14
+    (P + |shift| + |guess|) only where the signs of h confirm it holds the
+    root, so the result does not depend on the guess.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        t, u, shift, g = (mpmath.mpf(v) for v in (t, u, shift, guess))
+        p = 1 / (t * (2 + t))
+        q = p * (1 + abs(u) / (1 + abs(u))) + shift
+
+        def h(z):
+            return z - q - p * abs(z) / (1 + abs(z))
+
+        lo, hi = -abs(q) - p, abs(q) + p
+        d = mpmath.mpf(1e-14) * (p + abs(shift) + abs(g))
+        if h(g - d) < 0 < h(g + d):
+            lo, hi = g - d, g + d
+        while hi - lo > 1e-22 * (p + abs(shift)):
+            mid = (lo + hi) / 2
+            if h(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
 def constant_raw(grid, value):
     """The grid function with raw value ``value`` at every node t > 1."""
     return GridFunction.from_raw_callable(
@@ -69,15 +104,14 @@ class TestInnerSolve:
     def test_v_independent_returns_direct_value(self):
         rhs = manufactured_rhs(ORDER, math.e, exponent=2.0)
         grid = LogGrid(math.e, 16)
-        f_grid, used = _implicit_rhs_grid(rhs, ORDER, grid, constant_raw(grid, 0.0))
+        f_grid = _implicit_rhs_grid(rhs, ORDER, grid, constant_raw(grid, 0.0))
         expected = rhs.evaluate(grid.nodes[1:], 0.0, 0.0)
         np.testing.assert_allclose(f_grid.raw_tail(), expected, rtol=1e-14, atol=0.0)
-        assert used == 1
 
     def test_affine_closed_form(self):
         rhs = affine_rhs(g0=0.4, g1=0.2, a=0.0, c=0.5, b=math.e)
         grid = LogGrid(math.e, 16)
-        f_grid, _ = _implicit_rhs_grid(rhs, ORDER, grid, constant_raw(grid, 7.0))
+        f_grid = _implicit_rhs_grid(rhs, ORDER, grid, constant_raw(grid, 7.0))
         expected = (0.4 + 0.2 * grid.log_nodes[1:]) / (1.0 - 0.5)
         np.testing.assert_allclose(f_grid.raw_tail(), expected, rtol=1e-14, atol=0.0)
 
@@ -85,18 +119,48 @@ class TestInnerSolve:
         # the last node is t = e exactly, where log t = 1
         rhs = paper_example_rhs()
         grid = LogGrid(math.e, 16)
-        f_grid, _ = _implicit_rhs_grid(
-            rhs, ORDER, grid, constant_raw(grid, 1.0), tol=1e-15
-        )
+        f_grid = _implicit_rhs_grid(rhs, ORDER, grid, constant_raw(grid, 1.0))
         assert f_grid.raw_tail()[-1] == pytest.approx(ref.INNER_FIXED_POINT_AT_E, abs=1e-12)
 
-    def test_cap_exceeded_reports_location(self):
-        # one panel on [1, 2]: the only interior node is t = 2
-        rhs = paper_example_rhs()
-        grid = LogGrid(2.0, 1)
-        with pytest.raises(ConvergenceError) as err:
-            _implicit_rhs_grid(rhs, ORDER, grid, constant_raw(grid, 1.0), tol=1e-15, cap=1)
-        assert "t=2.0" in str(err.value)
+    def test_closed_form_against_bisection(self):
+        # double inputs, with a third of the shifts cancelling q to within
+        # 1e-16..1e-2 relative and a few cancelling it exactly
+        rng = np.random.default_rng(6)
+        n = 1500
+        t = np.exp(rng.uniform(0.0, 3.0, n))
+        u = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 3.0, n)
+        shift = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 1.0, n)
+        base = 1.0 / (t * (2.0 + t)) * (1.0 + np.abs(u) / (1.0 + np.abs(u)))
+        near = slice(0, n // 3)
+        rel = rng.choice([-1.0, 1.0], n // 3) * 10.0 ** rng.uniform(-16.0, -2.0, n // 3)
+        shift[near] = -base[near] * (1.0 + rel)
+        shift[:10] = -base[:10]
+        z = paper_example_rhs().implicit_solution(t, u, shift)
+        for i in range(n):
+            exact = _bisected_root(t[i], u[i], shift[i], z[i])
+            p = 1.0 / (t[i] * (2.0 + t[i]))
+            bound = 4.0 * EPS * (p + abs(shift[i]) + abs(float(exact)))
+            assert abs(z[i] - exact) <= bound, (t[i], u[i], shift[i], z[i], exact)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-3, -0.2])
+    def test_closed_form_matches_iterated_fixed_point(
+        self, section5, grid512, section5_solution, shift
+    ):
+        # the iteration z <- f(t, u, z) + shift, run here only as an oracle
+        u, _ = section5_solution
+        rhs = section5.rhs
+        t, u_raw = grid512.nodes[1:], u.raw_tail()
+        z = rhs.evaluate(t, u_raw, 0.0) + shift
+        for _ in range(200):
+            z_next = rhs.evaluate(t, u_raw, z) + shift
+            step = np.max(np.abs(z_next - z))
+            z = z_next
+            if step <= 1e-15:
+                break
+        else:
+            pytest.fail("oracle iteration did not settle")
+        closed = rhs.implicit_solution(t, u_raw, shift)
+        np.testing.assert_allclose(closed, z, rtol=0.0, atol=1e-12)
 
 
 class TestComputeZ:
@@ -239,15 +303,15 @@ class TestPicardSolve:
         for _ in range(5):
             u = GridFunction(grid512, ORDER.gamma, rng.uniform(-1, 1, grid512.n_nodes))
             v = GridFunction(grid512, ORDER.gamma, rng.uniform(-1, 1, grid512.n_nodes))
-            fu, _ = _implicit_rhs_grid(rhs, ORDER, grid512, u)
-            fv, _ = _implicit_rhs_grid(rhs, ORDER, grid512, v)
+            fu = _implicit_rhs_grid(rhs, ORDER, grid512, u)
+            fv = _implicit_rhs_grid(rhs, ORDER, grid512, v)
             gap = np.abs(fu.raw_tail() - fv.raw_tail())
             assert np.all(gap <= factor * np.abs(u.raw_tail() - v.raw_tail()) + 1e-10)
 
     def test_report_carries_rhs_at_solution(self, section5, grid512, section5_solution):
         # bitwise what a fresh inner solve at the returned iterate gives
         u, report = section5_solution
-        f_grid, _ = _implicit_rhs_grid(section5.rhs, ORDER, grid512, u)
+        f_grid = _implicit_rhs_grid(section5.rhs, ORDER, grid512, u)
         np.testing.assert_array_equal(report.F_u.weighted_values, f_grid.weighted_values)
 
     def test_perturbed_report_includes_shift(self, section5, grid512, section5_solution):
@@ -256,7 +320,7 @@ class TestPicardSolve:
         u_tilde, report = solve_with_fixed_constant(
             section5, grid512, z_fixed=u.weighted_limit, shift=h
         )
-        f_grid, _ = _implicit_rhs_grid(section5.rhs, ORDER, grid512, u_tilde, shift=h)
+        f_grid = _implicit_rhs_grid(section5.rhs, ORDER, grid512, u_tilde, shift=h)
         np.testing.assert_array_equal(report.F_u.weighted_values, f_grid.weighted_values)
 
     def test_noncontractive_inputs_warn(self, grid512):

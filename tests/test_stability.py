@@ -135,7 +135,7 @@ class TestUlamHyers:
         u_tilde, _ = solve_with_fixed_constant(
             section5, grid512, z_fixed=u.weighted_limit, shift=h
         )
-        f_tilde, _ = _implicit_rhs_grid(section5.rhs, ORDER, grid512, u_tilde)
+        f_tilde = _implicit_rhs_grid(section5.rhs, ORDER, grid512, u_tilde)
         reconstructed = hadamard_integral(f_tilde, ORDER.alpha)
         defect = (
             u_tilde.raw_tail()
@@ -322,6 +322,14 @@ class TestSharedUnperturbedSolve:
             PerturbationSpec("supplied-table", 1e-3, table=table),
         ]
         with pytest.raises(DomainError, match="admissibility"):
+            run_experiments(section5, perturbations, grid512)
+        assert solves == []
+
+    def test_table_on_another_grid_before_any_solve(self, section5, grid512, monkeypatch):
+        solves = count_calls(monkeypatch, "picard_solve")
+        table = log_power(LogGrid(math.e, 256), ORDER.gamma, 0.0, coeff=1e-4)
+        perturbations = [PerturbationSpec("supplied-table", 1e-3, table=table)]
+        with pytest.raises(GridMismatchError):
             run_experiments(section5, perturbations, grid512)
         assert solves == []
 
