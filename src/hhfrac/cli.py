@@ -9,11 +9,17 @@ Subcommands:
 * ``example``   the reference problem's ``rhs`` metadata, then ``certify``,
   ``solve`` and ``stability`` on its built-in configuration
 
+``--panels``, ``--tol`` and ``--phi`` are configuration entries:
+:func:`hhfrac.config.parse_config` validates them with the file, or with
+``example``'s built-in configuration before anything is printed, and cites
+a bad one by its flag.
+
 Exit status is 0 exactly when every check the command ran has passed.
 Configuration and domain errors, an overflowing Mittag-Leffler factor
 among them, print one ``error:`` line and exit 2.  A solve that reaches its
 cap prints one ``solve failed:`` line and a rejected ``lambda_phi`` one
 ``certificate rejected:`` line (``certify`` and ``stability``); both exit 1.
+:func:`main` alone maps exceptions to these lines.
 Outputs are deterministic: identical configurations produce bytewise
 identical files.
 """
@@ -21,28 +27,38 @@ identical files.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional
 
 from . import certificates as cert_mod
-from .config import ConfigError, RunConfig, load_config
+from .config import FLAGS, ConfigError, RunConfig, load_config, parse_config
 from .errors import CertificateRejected, ConvergenceError, DomainError, MLOverflowError
 from .grids import GridFunction
-from .problems import PAPER_EXAMPLE, paper_example_rhs
+from .problems import paper_example_rhs
 from .solver import picard_solve, residual_fide
-from .stability import PerturbationSpec, run_experiments, verdicts_to_csv
+from .stability import (
+    LOG_POWER, SUPPLIED, PerturbationSpec, run_experiments, verdicts_to_csv,
+)
 from .verify import run_convergence_suite, run_identity_suite
 
 SOLUTION_HEADER = "t,log_t,weighted_value,raw_value,F_u"
 
+# the reference problem that ``example`` runs
+EXAMPLE_CONFIG = (
+    "alpha = 1/3\nbeta = 2/3\nb = e\nc1 = 2\nc2 = 1\nphi = 1\nrhs = paper-example\n"
+)
 
-def _write(path: Optional[str], text: str):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+
+def _write(path: str, text: str):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _emit(text: str, out: Optional[str]):
+    """A record to ``out`` when given, then to stdout."""
+    if out is not None:
+        _write(out, text)
+    sys.stdout.write(text)
 
 
 def _solution_csv(u, f_grid) -> str:
@@ -75,11 +91,7 @@ def _report_lines(report) -> str:
 def cmd_solve(config: RunConfig, out: Optional[str]) -> int:
     grid = config.grid()
     problem = config.problem(grid)
-    try:
-        u, report = picard_solve(problem, grid, tol=config.tol, cap=config.cap)
-    except ConvergenceError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
+    u, report = picard_solve(problem, grid, tol=config.tol, cap=config.cap)
     sys.stdout.write(_report_lines(report))
     sys.stdout.write(f"fide_residual = {residual_fide(u, problem)!r}\n")
     if out is not None:
@@ -93,37 +105,23 @@ def cmd_certify(config: RunConfig, out: Optional[str]) -> int:
     phi_profile = None
     if config.lambda_phi is not None:
         phi_profile = config.phi_profile(grid)
-    try:
-        certificate = cert_mod.build_certificate(
-            problem, phi_weight=phi_profile, lambda_phi=config.lambda_phi
-        )
-    except CertificateRejected as exc:
-        print(f"certificate rejected: {exc}", file=sys.stderr)
-        return 1
-    text = certificate.as_text()
-    _write(out, text)
-    if out is not None:
-        sys.stdout.write(text)
+    certificate = cert_mod.build_certificate(
+        problem, phi_weight=phi_profile, lambda_phi=config.lambda_phi
+    )
+    _emit(certificate.as_text(), out)
     return 0 if (certificate.existence_ok and certificate.uniqueness_ok) else 1
 
 
 def _perturbations(config: RunConfig, grid) -> list[PerturbationSpec]:
     """One perturbation per configured epsilon; they share one phi profile."""
     kind = config.perturbation_kind
-    if kind == "supplied-table":
-        if config.stability_table is None:
-            raise ConfigError("supplied-table perturbation needs stability.table")
-        if len(config.stability_table) != grid.n_nodes:
-            raise ConfigError(
-                f"stability.table has {len(config.stability_table)} values; "
-                f"the grid needs {grid.n_nodes}"
-            )
+    if kind == SUPPLIED:
         table = GridFunction(grid, config.order.gamma, config.stability_table)
         return [PerturbationSpec(kind, eps, table=table) for eps in config.epsilons]
-    if kind == "log-power" or config.stability_mode == "uhr":
+    if kind == LOG_POWER or config.stability_mode == "uhr":
         phi = config.phi_profile(grid)
         return [
-            PerturbationSpec("log-power", eps, phi_profile=phi)
+            PerturbationSpec(LOG_POWER, eps, phi_profile=phi)
             for eps in config.epsilons
         ]
     return [PerturbationSpec(kind, eps) for eps in config.epsilons]
@@ -137,27 +135,17 @@ def cmd_stability(config: RunConfig, out: Optional[str]) -> int:
         lam = config.lambda_phi
         if lam is None:
             lam = config.suggested_lambda_phi()
-    try:
-        verdicts = run_experiments(
-            problem, _perturbations(config, grid), grid, lam,
-            tol=config.tol, cap=config.cap,
-        )
-    except CertificateRejected as exc:
-        print(f"certificate rejected: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
-    csv = verdicts_to_csv(verdicts)
-    _write(out, csv)
-    if out is not None:
-        sys.stdout.write(csv)
+    verdicts = run_experiments(
+        problem, _perturbations(config, grid), grid, lam,
+        tol=config.tol, cap=config.cap,
+    )
+    _emit(verdicts_to_csv(verdicts), out)
     return 0 if all(v.passed for v in verdicts) else 1
 
 
-def cmd_verify(level: str, panels_fast: int = 128) -> int:
+def cmd_verify(level: str) -> int:
     if level == "fast":
-        results = run_identity_suite(panels_fast)
+        results = run_identity_suite(128)
     else:
         results = run_identity_suite(512) + run_convergence_suite()
     for r in results:
@@ -167,17 +155,12 @@ def cmd_verify(level: str, panels_fast: int = 128) -> int:
     return 0 if not failures else 1
 
 
-def cmd_example(phi: float, panels: int, out: Optional[str]) -> int:
+def cmd_example(config: RunConfig, out: Optional[str]) -> int:
     rhs = paper_example_rhs()
     for name in ("K_f", "L_f", "delta_star", "sigma_star", "rho_star"):
         print(f"{name} = {getattr(rhs, name)!r}")
-    config = RunConfig(
-        alpha=1.0 / 3.0, beta_type=2.0 / 3.0, b=math.e, c1=2.0, c2=1.0, phi=phi,
-        rhs_kind=PAPER_EXAMPLE, panels=panels, epsilons=(1e-3,),
-    )
     certified = cmd_certify(config, None) == 0
-    if cmd_solve(config, out) != 0:
-        return 1
+    cmd_solve(config, out)
     stable = cmd_stability(config, None) == 0
     return 0 if certified and stable else 1
 
@@ -192,12 +175,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="problem configuration file")
-        p.add_argument("--panels", type=int, help="override grid panel count")
-        p.add_argument("--tol", type=float, help="override outer tolerance")
-        p.add_argument("--phi", type=float, help="override the boundary value")
+    # --panels, --tol and --phi stay strings: parse_config parses them
+    def add_common(p):
+        p.add_argument("--config", required=True, help="problem configuration file")
+        p.add_argument("--panels", help="override grid panel count (at least 5)")
+        p.add_argument("--tol", help="override outer tolerance (finite, > 0)")
+        p.add_argument("--phi", help="override the boundary value")
         p.add_argument("--out", help="output file (default: stdout)")
 
     add_common(sub.add_parser("solve", help="solve a configured problem"))
@@ -208,8 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--level", choices=("fast", "full"), default="fast")
 
     e = sub.add_parser("example", help="reproduce the reference problem")
-    e.add_argument("--phi", type=float, default=1.0, help="boundary value (default 1)")
-    e.add_argument("--panels", type=int, default=512)
+    e.add_argument("--phi", help="boundary value (default 1)")
+    e.add_argument("--panels", help="grid panel count (default 512, at least 5)")
     e.add_argument("--out", help="write the solution CSV here")
     return parser
 
@@ -219,15 +202,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.level)
+        given = vars(args)
+        overrides = {key: given[key] for key in FLAGS if given.get(key) is not None}
         if args.command == "example":
-            return cmd_example(args.phi, args.panels, args.out)
-        config = load_config(args.config)
-        if args.panels is not None:
-            config.panels = args.panels
-        if args.tol is not None:
-            config.tol = args.tol
-        if args.phi is not None:
-            config.phi = args.phi
+            config = parse_config(EXAMPLE_CONFIG, "example", overrides)
+            return cmd_example(config, args.out)
+        config = load_config(args.config, overrides)
         if args.command == "solve":
             return cmd_solve(config, args.out)
         if args.command == "certify":
@@ -236,6 +216,12 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, FileNotFoundError, MLOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"solve failed: {exc}", file=sys.stderr)
+        return 1
+    except CertificateRejected as exc:
+        print(f"certificate rejected: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

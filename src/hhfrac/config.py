@@ -1,8 +1,11 @@
 """Flat ``key = value`` problem configurations.
 
 One problem per file; ``#`` starts a comment.  Numeric values accept plain
-floats, simple fractions like ``1/3``, and the literal ``e``.  Parse errors
-carry the file name and line number of the offending entry.
+floats, simple fractions like ``1/3``, and the literal ``e``.  One key table
+maps each key to its ``RunConfig`` field and parser, and one list of checks
+validates the result; ``overrides`` (the ``--panels``, ``--tol`` and
+``--phi`` flags) take the same path.  Errors cite ``file:line: key``, or the
+flag.  Defaults are stated on :class:`RunConfig` only.
 
 Recognized keys::
 
@@ -11,14 +14,16 @@ Recognized keys::
     rhs.exponent rhs.coeff rhs.critical_coeff     manufactured-log-power
     rhs.g0 rhs.g1 rhs.a rhs.c                     affine-in-uv
     rhs.table                                     custom-table (comma list,
-                                                  weighted values, N+1 long)
-    panels, tol, cap                     numerics
+                                                  weighted values, panels+1 long)
+    panels, tol, cap                     numerics (>= 5, finite > 0, >= 1)
     stability.mode                       uh | uhr
     stability.perturbation               constant | log-power | supplied-table
-    stability.epsilon                    float or comma list
+    stability.epsilon                    finite positive float or comma list
     stability.phi                        one | critical-log-power
     stability.lambda_phi                 comparison constant for uhr
-    stability.table                      comma list for supplied-table
+    stability.table                      comma list for supplied-table (panels+1)
+
+An ``rhs.<name>`` key that the chosen kind does not take is an error.
 """
 
 from __future__ import annotations
@@ -40,47 +45,48 @@ from .problems import (
     paper_example_rhs,
     table_rhs,
 )
+from .solver import DEFAULT_CAP, DEFAULT_TOL
+from .stability import CONSTANT, LOG_POWER, SUPPLIED
 
 
 class ConfigError(ValueError):
     """A malformed or inconsistent configuration entry."""
 
 
-_PROBLEM_KEYS = {"alpha", "beta", "b", "c1", "c2", "phi", "rhs"}
-_RHS_PARAM_KEYS = {
-    "rhs.exponent", "rhs.coeff", "rhs.critical_coeff",
-    "rhs.g0", "rhs.g1", "rhs.a", "rhs.c", "rhs.table",
+# the rhs.<name> parameters each catalog kind takes
+_RHS_PARAMS = {
+    PAPER_EXAMPLE: (),
+    MANUFACTURED: ("exponent", "coeff", "critical_coeff"),
+    AFFINE: ("g0", "g1", "a", "c"),
+    CUSTOM_TABLE: ("table",),
 }
-_NUMERIC_KEYS = {"panels", "tol", "cap"}
-_STABILITY_KEYS = {
-    "stability.mode", "stability.perturbation", "stability.epsilon",
-    "stability.phi", "stability.lambda_phi", "stability.table",
-}
-_ALL_KEYS = _PROBLEM_KEYS | _RHS_PARAM_KEYS | _NUMERIC_KEYS | _STABILITY_KEYS
+# keys that the command-line flags --panels, --tol and --phi set
+FLAGS = ("panels", "tol", "phi")
+_REQUIRED = ("alpha", "beta", "b", "c1", "c2", "rhs")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration; the problem is materialized per grid on demand."""
+    """A validated configuration; the problem is materialized per grid on demand."""
 
     alpha: float
     beta_type: float
     b: float
     c1: float
     c2: float
-    phi: float
     rhs_kind: str
+    phi: float = 0.0
     rhs_params: dict = field(default_factory=dict)
-    rhs_table: Optional[list] = None
+    rhs_table: Optional[tuple] = None
     panels: int = 512
-    tol: float = 1e-10
-    cap: int = 200
+    tol: float = DEFAULT_TOL
+    cap: int = DEFAULT_CAP
     stability_mode: str = "uh"
-    perturbation_kind: str = "constant"
+    perturbation_kind: str = CONSTANT
     epsilons: tuple = (1e-3,)
     phi_kind: str = "one"
     lambda_phi: Optional[float] = None
-    stability_table: Optional[list] = None
+    stability_table: Optional[tuple] = None
 
     @property
     def order(self) -> Order:
@@ -95,27 +101,12 @@ class RunConfig:
         if self.rhs_kind == PAPER_EXAMPLE:
             rhs = paper_example_rhs()
         elif self.rhs_kind == MANUFACTURED:
-            p = self.rhs_params
-            rhs = manufactured_rhs(
-                order, self.b,
-                exponent=p.get("exponent", 2.0),
-                coeff=p.get("coeff", 1.0),
-                critical_coeff=p.get("critical_coeff", 0.0),
-            )
+            rhs = manufactured_rhs(order, self.b, **self.rhs_params)
         elif self.rhs_kind == AFFINE:
-            p = self.rhs_params
-            rhs = affine_rhs(
-                p.get("g0", 0.0), p.get("g1", 0.0),
-                p.get("a", 0.0), p.get("c", 0.0), self.b,
-            )
+            # an affine coefficient that is not given is zero
+            coeffs = dict.fromkeys(_RHS_PARAMS[AFFINE], 0.0) | self.rhs_params
+            rhs = affine_rhs(b=self.b, **coeffs)
         else:
-            if self.rhs_table is None:
-                raise ConfigError("custom-table rhs needs rhs.table")
-            if len(self.rhs_table) != grid.n_nodes:
-                raise ConfigError(
-                    f"rhs.table has {len(self.rhs_table)} values; "
-                    f"grid with {self.panels} panels needs {grid.n_nodes}"
-                )
             rhs = table_rhs(GridFunction(grid, order.gamma, self.rhs_table))
         return ProblemSpec(
             order=order, b=self.b, c1=self.c1, c2=self.c2, phi=self.phi, rhs=rhs
@@ -123,11 +114,7 @@ class RunConfig:
 
     def phi_profile(self, grid: LogGrid) -> GridFunction:
         g = self.order.gamma
-        if self.phi_kind == "one":
-            return log_power(grid, g, 0.0)
-        if self.phi_kind == "critical-log-power":
-            return log_power(grid, g, g - 1.0)
-        raise ConfigError(f"unknown stability.phi {self.phi_kind!r}")
+        return log_power(grid, g, 0.0 if self.phi_kind == "one" else g - 1.0)
 
     def suggested_lambda_phi(self) -> float:
         """The sharp comparison constant for the built-in profiles."""
@@ -160,13 +147,99 @@ def _number(raw: str, where: str) -> float:
         raise ConfigError(f"{where}: not a number: {raw!r}") from exc
 
 
-def _number_list(raw: str, where: str) -> list:
-    return [_number(part, where) for part in raw.split(",") if part.strip()]
+def _integer(raw: str, where: str) -> int:
+    v = _number(raw, where)
+    if not math.isfinite(v) or v != int(v):
+        raise ConfigError(f"{where}: expected an integer, got {v!r}")
+    return int(v)
 
 
-def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse a flat key = value configuration with line-anchored errors."""
-    entries = {}
+def _number_list(raw: str, where: str) -> tuple:
+    return tuple(_number(part, where) for part in raw.split(",") if part.strip())
+
+
+def _choice(*options):
+    def parse(raw: str, where: str) -> str:
+        if raw not in options:
+            raise ConfigError(
+                f"{where}: unknown value {raw!r}; expected {' | '.join(options)}"
+            )
+        return raw
+
+    return parse
+
+
+# key -> (RunConfig field, parser); rhs.<name> values collect in rhs_params
+_KEYS = {
+    "alpha": ("alpha", _number),
+    "beta": ("beta_type", _number),
+    "b": ("b", _number),
+    "c1": ("c1", _number),
+    "c2": ("c2", _number),
+    "phi": ("phi", _number),
+    "rhs": ("rhs_kind", _choice(*_RHS_PARAMS)),
+    **{
+        f"rhs.{name}": ("rhs_params", _number)
+        for name in _RHS_PARAMS[MANUFACTURED] + _RHS_PARAMS[AFFINE]
+    },
+    "rhs.table": ("rhs_table", _number_list),
+    "panels": ("panels", _integer),
+    "tol": ("tol", _number),
+    "cap": ("cap", _integer),
+    "stability.mode": ("stability_mode", _choice("uh", "uhr")),
+    "stability.perturbation": ("perturbation_kind", _choice(CONSTANT, LOG_POWER, SUPPLIED)),
+    "stability.epsilon": ("epsilons", _number_list),
+    "stability.phi": ("phi_kind", _choice("one", "critical-log-power")),
+    "stability.lambda_phi": ("lambda_phi", _number),
+    "stability.table": ("stability_table", _number_list),
+}
+
+
+def _violations(c: RunConfig, keys):
+    """(key, message) for each check the configuration fails, in order."""
+    try:
+        Order(c.alpha, c.beta_type)
+    except DomainError as exc:
+        yield "alpha", str(exc)
+    if not 1.0 < c.b < math.inf:
+        yield "b", "b must be finite and exceed 1"
+    if c.c1 + c.c2 == 0.0:
+        yield "c1", "c1 + c2 must be nonzero"
+    if c.c2 == 0.0:
+        yield "c2", "c2 must be nonzero"
+    for key, value in (("c1", c.c1), ("c2", c.c2), ("phi", c.phi)):
+        if not math.isfinite(value):
+            yield key, f"{key} must be finite"
+    if not c.epsilons or not all(0.0 < eps < math.inf for eps in c.epsilons):
+        yield "stability.epsilon", "need one or more finite positive epsilons"
+    # the smallest grid with an interior window for the FIDE residual
+    if c.panels < 5:
+        yield "panels", "need at least 5 panels"
+    if not 0.0 < c.tol < math.inf:
+        yield "tol", "tol must be finite and positive"
+    if c.cap < 1:
+        yield "cap", "cap must be at least 1"
+    for key in keys:
+        if key.startswith("rhs.") and key[4:] not in _RHS_PARAMS[c.rhs_kind]:
+            yield key, f"rhs kind {c.rhs_kind!r} takes no parameter {key[4:]!r}"
+    if c.rhs_kind == CUSTOM_TABLE and c.rhs_table is None:
+        yield "rhs", "custom-table rhs needs rhs.table"
+    if c.perturbation_kind == SUPPLIED and c.stability_table is None:
+        yield "stability.perturbation", "supplied-table perturbation needs stability.table"
+    for key, table in (("rhs.table", c.rhs_table), ("stability.table", c.stability_table)):
+        if table is not None and len(table) != c.panels + 1:
+            yield key, f"{len(table)} values; {c.panels} panels need {c.panels + 1}"
+
+
+def parse_config(
+    text: str, source: str = "<config>", overrides: Optional[dict] = None
+) -> RunConfig:
+    """Parse and validate a configuration with line-anchored errors.
+
+    ``overrides`` maps keys of :data:`FLAGS` to raw values that replace the
+    file's entries; their errors cite the flag, e.g. ``--panels``.
+    """
+    entries = {}  # key -> (raw value, citation)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -175,106 +248,32 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        entries[key] = (value, lineno)
-
-    def where(key):
-        return f"{source}:{entries[key][1]}: {key}"
-
-    def need(key):
+        entries[key] = (value, f"{source}:{lineno}: {key}")
+    for key, value in (overrides or {}).items():
+        if key not in FLAGS:
+            raise ConfigError(f"--{key}: not a command-line flag")
+        entries[key] = (str(value).strip(), f"--{key}")
+    for key in _REQUIRED:
         if key not in entries:
             raise ConfigError(f"{source}: missing required key {key!r}")
-        return entries[key][0]
 
-    def num(key, default=None):
-        if key not in entries:
-            return default
-        return _number(entries[key][0], where(key))
-
-    def intval(key, default):
-        if key not in entries:
-            return default
-        v = _number(entries[key][0], where(key))
-        if v != int(v):
-            raise ConfigError(f"{where(key)}: expected an integer, got {v!r}")
-        return int(v)
-
-    rhs_kind = need("rhs")
-    if rhs_kind not in (PAPER_EXAMPLE, MANUFACTURED, AFFINE, CUSTOM_TABLE):
-        raise ConfigError(f"{where('rhs')}: unknown rhs kind {rhs_kind!r}")
-
-    rhs_params = {}
-    for key in ("exponent", "coeff", "critical_coeff", "g0", "g1", "a", "c"):
-        full = f"rhs.{key}"
-        if full in entries:
-            rhs_params[key] = _number(entries[full][0], where(full))
-    rhs_table = None
-    if "rhs.table" in entries:
-        rhs_table = _number_list(entries["rhs.table"][0], where("rhs.table"))
-
-    mode = entries.get("stability.mode", ("uh", 0))[0]
-    if mode not in ("uh", "uhr"):
-        raise ConfigError(f"{where('stability.mode')}: unknown mode {mode!r}")
-    pert = entries.get("stability.perturbation", ("constant", 0))[0]
-    if pert not in ("constant", "log-power", "supplied-table"):
-        raise ConfigError(
-            f"{where('stability.perturbation')}: unknown perturbation {pert!r}"
-        )
-    phi_kind = entries.get("stability.phi", ("one", 0))[0]
-    if phi_kind not in ("one", "critical-log-power"):
-        raise ConfigError(f"{where('stability.phi')}: unknown profile {phi_kind!r}")
-    if "stability.epsilon" in entries:
-        epsilons = tuple(
-            _number_list(entries["stability.epsilon"][0], where("stability.epsilon"))
-        )
-    else:
-        epsilons = (1e-3,)
-    stab_table = None
-    if "stability.table" in entries:
-        stab_table = _number_list(entries["stability.table"][0], where("stability.table"))
-
-    config = RunConfig(
-        alpha=_number(need("alpha"), where("alpha")),
-        beta_type=_number(need("beta"), where("beta")),
-        b=_number(need("b"), where("b")),
-        c1=_number(need("c1"), where("c1")),
-        c2=_number(need("c2"), where("c2")),
-        phi=num("phi", 0.0),
-        rhs_kind=rhs_kind,
-        rhs_params=rhs_params,
-        rhs_table=rhs_table,
-        panels=intval("panels", 512),
-        tol=num("tol", 1e-10),
-        cap=intval("cap", 200),
-        stability_mode=mode,
-        perturbation_kind=pert,
-        epsilons=epsilons,
-        phi_kind=phi_kind,
-        lambda_phi=num("stability.lambda_phi"),
-        stability_table=stab_table,
-    )
-
-    # re-check the problem invariants here so the message cites the file
-    try:
-        Order(config.alpha, config.beta_type)
-    except DomainError as exc:
-        raise ConfigError(f"{where('alpha')}: {exc}") from exc
-    if not 1.0 < config.b < math.inf:
-        raise ConfigError(f"{where('b')}: b must be finite and exceed 1")
-    if config.c1 + config.c2 == 0.0:
-        raise ConfigError(f"{where('c1')}: c1 + c2 must be nonzero")
-    if config.c2 == 0.0:
-        raise ConfigError(f"{where('c2')}: c2 must be nonzero")
-    if any(eps <= 0.0 for eps in config.epsilons):
-        raise ConfigError(f"{where('stability.epsilon')}: epsilons must be positive")
-    if config.panels < 2:
-        raise ConfigError(f"{where('panels')}: need at least 2 panels")
+    values = {}
+    for key, (raw, where) in entries.items():
+        name, parse = _KEYS[key]
+        if name == "rhs_params":
+            values.setdefault(name, {})[key[4:]] = parse(raw, where)
+        else:
+            values[name] = parse(raw, where)
+    config = RunConfig(**values)
+    for key, message in _violations(config, entries):  # the first failed check
+        raise ConfigError(f"{entries[key][1]}: {message}")
     return config
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), source=path)
+        return parse_config(fh.read(), source=path, overrides=overrides)

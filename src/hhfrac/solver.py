@@ -130,6 +130,10 @@ def _solve(
     ``z_rule`` maps F_u to Z, ``shift`` is added to the right-hand side and
     ``defect(u, F_u)`` measures the side condition; returns (u, report).
     """
+    if cap < 1 or not 0.0 < tol < math.inf:
+        raise DomainError(
+            f"need cap >= 1 and a finite tol > 0, got cap={cap!r}, tol={tol!r}"
+        )
     u = GridFunction(grid, order.gamma, np.full(grid.n_nodes, z_start))
     history = []
     for _ in range(cap):

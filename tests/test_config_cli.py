@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,17 @@ class TestConfigParsing:
         text = SECTION5_CFG.replace("1e-2,1e-3", "0")
         with pytest.raises(ConfigError, match="positive"):
             parse_config(text, source="cfg")
+
+    def test_overrides_parse_like_file_entries(self):
+        flagged = parse_config(SECTION5_CFG, overrides={"panels": "64", "tol": "1e-12"})
+        written = parse_config(SECTION5_CFG + "panels = 64\ntol = 1e-12\n")
+        assert flagged == written
+        assert (flagged.panels, flagged.tol) == (64, 1e-12)
+
+    def test_parsed_config_is_frozen(self):
+        config = parse_config(SECTION5_CFG)
+        with pytest.raises(FrozenInstanceError):
+            config.panels = 4
 
 
 class TestCli:
@@ -253,6 +265,90 @@ class TestCli:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("certificate rejected: lambda_phi=0.5 fails at")
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            pytest.param(
+                ["solve"], SECTION5_CFG + "cap = 0\n",
+                "{cfg}:9: cap: cap must be at least 1", id="file-cap-0",
+            ),
+            pytest.param(
+                ["solve"], SECTION5_CFG + "tol = -1\n",
+                "{cfg}:9: tol: tol must be finite and positive", id="file-tol-negative",
+            ),
+            pytest.param(
+                ["solve"], SECTION5_CFG + "panels = 4\n",
+                "{cfg}:9: panels: need at least 5 panels", id="file-panels-4",
+            ),
+            pytest.param(
+                ["solve", "--panels", "4"], SECTION5_CFG,
+                "--panels: need at least 5 panels", id="flag-panels-4",
+            ),
+            pytest.param(
+                ["stability", "--tol", "nan"], SECTION5_CFG,
+                "--tol: tol must be finite and positive", id="flag-tol-nan",
+            ),
+            pytest.param(
+                ["certify", "--panels", "1/2"], SECTION5_CFG,
+                "--panels: expected an integer, got 0.5", id="flag-panels-fraction",
+            ),
+            pytest.param(
+                ["certify", "--phi", "nan"], SECTION5_CFG,
+                "--phi: phi must be finite", id="flag-phi-nan",
+            ),
+            pytest.param(
+                ["stability"], SECTION5_CFG.replace("1e-2,1e-3", "1e-2,inf"),
+                "{cfg}:8: stability.epsilon: need one or more finite positive epsilons",
+                id="file-epsilon-inf",
+            ),
+            pytest.param(
+                ["example", "--panels", "4"], None,
+                "--panels: need at least 5 panels", id="example-panels-4",
+            ),
+            pytest.param(
+                ["solve"], SECTION5_CFG + "rhs.g0 = 1\n",
+                "{cfg}:9: rhs.g0: rhs kind 'paper-example' takes no parameter 'g0'",
+                id="rhs-param-of-another-kind",
+            ),
+            pytest.param(
+                ["solve"],
+                SECTION5_CFG.replace("paper-example", "custom-table")
+                + "panels = 8\nrhs.table = 0,0,0\n",
+                "{cfg}:10: rhs.table: 3 values; 8 panels need 9",
+                id="rhs-table-length",
+            ),
+            pytest.param(
+                ["stability"],
+                SECTION5_CFG
+                + "stability.perturbation = supplied-table\npanels = 8\n"
+                + "stability.table = 0,0,0\n",
+                "{cfg}:11: stability.table: 3 values; 8 panels need 9",
+                id="stability-table-length",
+            ),
+        ],
+    )
+    def test_bad_input_is_one_cited_error_line(self, tmp_path, capsys, argv, text, message):
+        cfg = tmp_path / "bad.cfg"
+        if text is not None:
+            cfg.write_text(text)
+            argv = [argv[0], "--config", str(cfg), *argv[1:]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: " + message.format(cfg=cfg)]
+
+    def test_flags_give_the_bytes_of_file_keys(self, tmp_path, capsys):
+        plain, keyed = tmp_path / "plain.cfg", tmp_path / "keyed.cfg"
+        plain.write_text(SECTION5_CFG)
+        keyed.write_text(SECTION5_CFG + "panels = 64\ntol = 1e-12\n")
+        flagged_csv, keyed_csv = tmp_path / "flagged.csv", tmp_path / "keyed.csv"
+        argv = ["solve", "--config", str(plain), "--panels", "64", "--tol", "1e-12"]
+        assert main(argv + ["--out", str(flagged_csv)]) == 0
+        flagged_out = capsys.readouterr().out
+        assert main(["solve", "--config", str(keyed), "--out", str(keyed_csv)]) == 0
+        assert capsys.readouterr().out == flagged_out
+        assert flagged_csv.read_bytes() == keyed_csv.read_bytes()
 
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2

@@ -333,6 +333,32 @@ class TestPicardSolve:
                 picard_solve(problem, grid512, cap=30)
 
 
+class TestSolveArguments:
+    """A cap or tol that cannot end a solve is rejected before the first sweep."""
+
+    @pytest.mark.parametrize(
+        "tol, cap",
+        [(1e-10, 0), (1e-10, -1), (-1.0, 200), (0.0, 200), (math.nan, 200), (math.inf, 200)],
+    )
+    @pytest.mark.parametrize("entry", ["picard", "fixed", "ivp"])
+    def test_rejected_before_any_sweep(self, section5, grid512, monkeypatch, entry, tol, cap):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr("hhfrac.solver._implicit_rhs_grid", no_sweep)
+        solve = {
+            "picard": lambda: picard_solve(section5, grid512, tol=tol, cap=cap),
+            "fixed": lambda: solve_with_fixed_constant(
+                section5, grid512, z_fixed=0.5, tol=tol, cap=cap
+            ),
+            "ivp": lambda: solve_ivp(
+                ORDER, math.e, 1.0, section5.rhs, grid512, tol=tol, cap=cap
+            ),
+        }[entry]
+        with pytest.raises(DomainError, match="cap >= 1 and a finite tol > 0"):
+            solve()
+
+
 class TestSolveIvp:
     def test_zero_rhs_pure_mode(self, grid512):
         rhs = affine_rhs(0.0, 0.0, 0.0, 0.0, math.e)
