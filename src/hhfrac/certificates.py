@@ -177,7 +177,6 @@ def _verified_rassias_factor(
     problem: ProblemSpec,
     phi_weight: GridFunction,
     lambda_phi: float,
-    tol: float,
     stacklevel: int,
 ) -> float:
     """B~ lambda_phi^2 once lambda_phi passes the nodewise comparison.
@@ -190,14 +189,14 @@ def _verified_rassias_factor(
     phi_raw = phi_weight.raw_tail()
     if np.any(phi_raw <= 0.0):
         raise CertificateRejected("phi profile must be positive on the grid")
-    if np.any(np.diff(phi_raw) < -tol):
+    if np.any(np.diff(phi_raw) < -_LAMBDA_PHI_TOL):
         warnings.warn(
             "phi profile is not increasing on the grid; proceeding anyway",
             stacklevel=stacklevel,
         )
     integral_raw = hadamard_integral(phi_weight, problem.order.alpha).raw_tail()
     excess = integral_raw - lambda_phi * phi_raw
-    bad = np.where(excess > tol)[0]
+    bad = np.where(excess > _LAMBDA_PHI_TOL)[0]
     if bad.size:
         nodes = [int(i) + 1 for i in bad[:8]]
         raise CertificateRejected(
@@ -209,21 +208,16 @@ def _verified_rassias_factor(
     return _b_tilde(problem) * lambda_phi**2
 
 
-def rassias_constant(
-    problem: ProblemSpec,
-    phi_weight: GridFunction,
-    lambda_phi: float,
-    tol: float = _LAMBDA_PHI_TOL,
-):
+def rassias_constant(problem: ProblemSpec, phi_weight: GridFunction, lambda_phi: float):
     """(B_tilde, C_f_phi) after machine-verifying the comparison constant.
 
     The caller supplies lambda_phi; it is accepted only if
-    (I^alpha phi)(t_i) <= lambda_phi phi(t_i) + tol at every node i >= 1.
+    (I^alpha phi)(t_i) <= lambda_phi phi(t_i) + 1e-9 at every node i >= 1.
     The profile must be positive there; a non-monotone profile is allowed
     (the canonical (log t)^(gamma-1) profile is decreasing) but triggers a
     warning since the classical statement assumes an increasing one.
     """
-    factor = _verified_rassias_factor(problem, phi_weight, lambda_phi, tol, stacklevel=3)
+    factor = _verified_rassias_factor(problem, phi_weight, lambda_phi, stacklevel=3)
     return _b_tilde(problem), factor * _growth(problem)
 
 
@@ -279,7 +273,7 @@ def build_certificate(
         if phi_weight is None:
             raise DomainError("lambda_phi requires a phi profile to verify against")
         c_f_phi = _verified_rassias_factor(
-            problem, phi_weight, lambda_phi, _LAMBDA_PHI_TOL, stacklevel=2
+            problem, phi_weight, lambda_phi, stacklevel=2
         ) * growth
     return Certificate(
         omega=omega,

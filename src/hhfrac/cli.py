@@ -5,7 +5,8 @@ Subcommands:
 * ``solve``     solve a configured problem, emit the solution as CSV
 * ``certify``   compute every constant, emit a key = value record
 * ``stability`` run perturbation experiments, emit verdict CSV rows
-* ``verify``    run the operator-identity suites (``--level fast|full``)
+* ``verify``    run the operator-identity suites (``--level fast|full``);
+  ``full`` adds the gated refinement orders of the integral and the solver
 * ``example``   the reference problem's ``rhs`` metadata, then ``certify``,
   ``solve`` and ``stability`` on its built-in configuration
 
@@ -17,8 +18,9 @@ a bad one by its flag.
 Exit status is 0 exactly when every check the command ran has passed.
 Configuration and domain errors, an overflowing Mittag-Leffler factor
 among them, print one ``error:`` line and exit 2.  A solve that reaches its
-cap prints one ``solve failed:`` line and a rejected ``lambda_phi`` one
-``certificate rejected:`` line (``certify`` and ``stability``); both exit 1.
+cap prints one ``solve failed:`` line and a ``lambda_phi`` that fails its
+nodewise verification one ``certificate rejected:`` line (``certify`` and
+``stability``); both exit 1.
 :func:`main` alone maps exceptions to these lines.
 Outputs are deterministic: identical configurations produce bytewise
 identical files.

@@ -13,17 +13,20 @@ Recognized keys::
     rhs                                  catalog kind
     rhs.exponent rhs.coeff rhs.critical_coeff     manufactured-log-power
     rhs.g0 rhs.g1 rhs.a rhs.c                     affine-in-uv
-    rhs.table                                     custom-table (comma list,
-                                                  weighted values, panels+1 long)
+    rhs.table                                     custom-table (comma list of
+                                                  panels+1 finite weighted values)
     panels, tol, cap                     numerics (>= 5, finite > 0, >= 1)
     stability.mode                       uh | uhr
     stability.perturbation               constant | log-power | supplied-table
     stability.epsilon                    finite positive float or comma list
     stability.phi                        one | critical-log-power
-    stability.lambda_phi                 comparison constant for uhr
-    stability.table                      comma list for supplied-table (panels+1)
+    stability.lambda_phi                 comparison constant for uhr (finite > 0)
+    stability.table                      comma list for supplied-table (panels+1,
+                                         finite)
 
-An ``rhs.<name>`` key that the chosen kind does not take is an error.
+An ``rhs.<name>`` key that the chosen kind does not take is an error, and
+so is a value outside the kind's domain (``rhs.c = 1`` under
+``affine-in-uv``), cited at the ``rhs`` line.
 """
 
 from __future__ import annotations
@@ -96,7 +99,6 @@ class RunConfig:
         return LogGrid(self.b, self.panels)
 
     def problem(self, grid: Optional[LogGrid] = None) -> ProblemSpec:
-        grid = grid if grid is not None else self.grid()
         order = self.order
         if self.rhs_kind == PAPER_EXAMPLE:
             rhs = paper_example_rhs()
@@ -107,6 +109,7 @@ class RunConfig:
             coeffs = dict.fromkeys(_RHS_PARAMS[AFFINE], 0.0) | self.rhs_params
             rhs = affine_rhs(b=self.b, **coeffs)
         else:
+            grid = grid if grid is not None else self.grid()
             rhs = table_rhs(GridFunction(grid, order.gamma, self.rhs_table))
         return ProblemSpec(
             order=order, b=self.b, c1=self.c1, c2=self.c2, phi=self.phi, rhs=rhs
@@ -212,6 +215,8 @@ def _violations(c: RunConfig, keys):
             yield key, f"{key} must be finite"
     if not c.epsilons or not all(0.0 < eps < math.inf for eps in c.epsilons):
         yield "stability.epsilon", "need one or more finite positive epsilons"
+    if c.lambda_phi is not None and not 0.0 < c.lambda_phi < math.inf:
+        yield "stability.lambda_phi", "lambda_phi must be finite and positive"
     # the smallest grid with an interior window for the FIDE residual
     if c.panels < 5:
         yield "panels", "need at least 5 panels"
@@ -229,6 +234,13 @@ def _violations(c: RunConfig, keys):
     for key, table in (("rhs.table", c.rhs_table), ("stability.table", c.stability_table)):
         if table is not None and len(table) != c.panels + 1:
             yield key, f"{len(table)} values; {c.panels} panels need {c.panels + 1}"
+        elif table is not None and not all(map(math.isfinite, table)):
+            yield key, "table values must be finite"
+    # the catalog factory checks the kind's own domain, e.g. |c| < 1
+    try:
+        c.problem()
+    except DomainError as exc:
+        yield "rhs", str(exc)
 
 
 def parse_config(

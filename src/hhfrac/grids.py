@@ -114,13 +114,11 @@ class GridFunction:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_raw_callable(
-        cls, grid: LogGrid, gamma_weight: float, fn, weighted_limit: float = 0.0
-    ) -> "GridFunction":
-        """Build from raw samples u(t_i) for i >= 1 plus the weighted limit at 1+."""
+    def from_raw_callable(cls, grid: LogGrid, gamma_weight: float, fn) -> "GridFunction":
+        """Build from raw samples u(t_i) for i >= 1; the weighted limit at 1+ is 0."""
         x = grid.log_nodes
         w = np.empty(grid.n_nodes)
-        w[0] = weighted_limit
+        w[0] = 0.0
         w[1:] = np.asarray(fn(grid.nodes[1:]), dtype=float) * x[1:] ** (1.0 - gamma_weight)
         return cls(grid, gamma_weight, w)
 

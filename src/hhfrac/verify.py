@@ -9,6 +9,11 @@ The vanishing-limit check inspects node 0 itself.
 Checks whose errors sit at roundoff level (pure log-power data is
 integrated exactly) are reported as exact; convergence orders are then
 not meaningful and are marked as such.
+
+The full level adds dyadic refinement at 128, 256 and 512 panels: the
+integral closed forms (order >= 1.5) and the solver on the paper's
+example, whose FIDE residual and boundary defect must converge at order
+>= 1.3.
 """
 
 from __future__ import annotations
@@ -25,15 +30,22 @@ from .hadamard import (
     hadamard_integral,
     hilfer_hadamard_derivative,
 )
+from .problems import paper_example_problem
+from .solver import picard_solve, residual_fide
 
 IDENTITY_TOL = 1e-3
 FAST_IDENTITY_TOL = 1e-2
 CLOSED_FORM_TOL = 1e-4
 MIN_ORDER = 1.5
+# the (log t)^(1-gamma) kink of a saturating right-hand side at t = 1
+# limits the solver's residual and boundary defect below order 2
+MIN_SOLVER_ORDER = 1.3
 EXACT_LEVEL = 1e-11
 
 _ALPHAS = (0.25, 1.0 / 3.0, 0.75)
 _BETA_TYPE = 2.0 / 3.0
+# panel counts of the dyadic refinement study
+_LEVELS = (128, 256, 512)
 
 
 @dataclass(frozen=True)
@@ -114,18 +126,15 @@ def _closed_form_error(grid: LogGrid, alpha: float, exponent_tag: str, gamma: fl
     return _rel_err(hadamard_integral(f, alpha), truth, win)
 
 
-def run_identity_suite(
-    n_panels: int, b: float = math.e, identity_tol: Optional[float] = None
-) -> list[CheckResult]:
-    """All closed-form and operator-identity checks at one resolution.
+def run_identity_suite(n_panels: int) -> list[CheckResult]:
+    """All closed-form and operator-identity checks at one resolution on [1, e].
 
-    The identity tolerance defaults to 1e-3 from 512 panels up and to the
-    looser smoke-test level 1e-2 below (the identities converge at order
-    one or better, so the coarse run only guards against gross breakage).
+    The identity tolerance is 1e-3 from 512 panels up and the looser
+    smoke-test level 1e-2 below (the identities converge at order one or
+    better, so the coarse run only guards against gross breakage).
     """
-    if identity_tol is None:
-        identity_tol = IDENTITY_TOL if n_panels >= 512 else FAST_IDENTITY_TOL
-    grid = LogGrid(b, n_panels)
+    identity_tol = IDENTITY_TOL if n_panels >= 512 else FAST_IDENTITY_TOL
+    grid = LogGrid(math.e, n_panels)
     x = grid.log_nodes[1:]
     win = _window(grid)
     out: list[CheckResult] = []
@@ -262,36 +271,40 @@ def run_identity_suite(
     return out
 
 
-def run_convergence_suite(
-    n_list=(128, 256, 512), b: float = math.e
-) -> list[CheckResult]:
-    """Dyadic refinement of the integral closed forms; order >= 1.5 required.
+def _refinement(name: str, alpha: float, errs, tol: float, min_order: float):
+    """Finest-level error within ``tol`` and every pairwise order >= ``min_order``.
 
-    Families the quadrature integrates exactly report order = inf.
+    Errors at roundoff level on every level report order = inf.
     """
+    if max(errs) <= EXACT_LEVEL:
+        order = math.inf
+    else:
+        order = min(math.log2(coarse / fine) for coarse, fine in zip(errs, errs[1:]))
+    passed = errs[-1] <= tol and order >= min_order
+    return CheckResult(name, alpha, errs[-1], tol, passed, order)
+
+
+def run_convergence_suite() -> list[CheckResult]:
+    """Dyadic refinement of the integral closed forms and of the solver."""
     out: list[CheckResult] = []
     for alpha in _ALPHAS:
         g = Order(alpha, _BETA_TYPE).gamma
         for tag in ("critical", "constant", "linear", "mixed"):
             errs = [
-                _closed_form_error(LogGrid(b, n), alpha, tag, g) for n in n_list
+                _closed_form_error(LogGrid(math.e, n), alpha, tag, g) for n in _LEVELS
             ]
-            if max(errs) <= EXACT_LEVEL:
-                order = math.inf
-            else:
-                order = min(
-                    math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)
-                )
-            out.append(
-                CheckResult(
-                    name=f"integral-order-{tag}",
-                    alpha=alpha,
-                    error=errs[-1],
-                    threshold=CLOSED_FORM_TOL if tag != "mixed" else IDENTITY_TOL,
-                    passed=errs[-1]
-                    <= (CLOSED_FORM_TOL if tag != "mixed" else IDENTITY_TOL)
-                    and order >= MIN_ORDER,
-                    order=order,
-                )
-            )
+            tol = CLOSED_FORM_TOL if tag != "mixed" else IDENTITY_TOL
+            out.append(_refinement(f"integral-order-{tag}", alpha, errs, tol, MIN_ORDER))
+
+    problem = paper_example_problem()
+    residuals, defects = [], []
+    for n in _LEVELS:
+        u, report = picard_solve(problem, LogGrid(problem.b, n))
+        residuals.append(residual_fide(u, problem))
+        defects.append(report.bc_defect)
+    alpha = problem.order.alpha
+    out.append(_refinement("solver-order-fide-residual", alpha, residuals,
+                           IDENTITY_TOL, MIN_SOLVER_ORDER))
+    out.append(_refinement("solver-order-bc-defect", alpha, defects,
+                           CLOSED_FORM_TOL, MIN_SOLVER_ORDER))
     return out

@@ -170,6 +170,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "checks passed" in out.splitlines()[-1]
 
+    def test_verify_full_gates_solver_orders(self, capsys):
+        assert main(["verify", "--level", "full"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "71/71 checks passed"
+        for name in ("solver-order-fide-residual", "solver-order-bc-defect"):
+            [line] = [line for line in lines if name in line]
+            assert line.startswith("ok ")
+
+    def test_verify_full_fails_a_stalled_solver_order(self, monkeypatch, capsys):
+        monkeypatch.setattr("hhfrac.verify.residual_fide", lambda u, problem: 1e-6)
+        assert main(["verify", "--level", "full"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        [line] = [line for line in lines if "solver-order-fide-residual" in line]
+        assert line.startswith("FAIL")
+        assert line.endswith("order=0.00")
+        assert lines[-1] == "70/71 checks passed"
+
     def test_uhr_stability_config(self, tmp_path, capsys):
         cfg = tmp_path / "uhr.cfg"
         cfg.write_text(
@@ -325,6 +342,41 @@ class TestCli:
                 + "stability.table = 0,0,0\n",
                 "{cfg}:11: stability.table: 3 values; 8 panels need 9",
                 id="stability-table-length",
+            ),
+            pytest.param(
+                ["solve"],
+                SECTION5_CFG.replace("paper-example", "affine-in-uv") + "rhs.c = 1\n",
+                "{cfg}:7: rhs: affine rhs needs |c| < 1, got 1.0",
+                id="affine-c-1",
+            ),
+            pytest.param(
+                ["solve"], MANUFACTURED_CFG.replace("exponent = 2", "exponent = 0.5"),
+                "{cfg}:7: rhs: manufactured exponent must be >= 1, got 0.5",
+                id="manufactured-exponent-half",
+            ),
+            pytest.param(
+                ["solve"],
+                SECTION5_CFG.replace("paper-example", "custom-table")
+                + "panels = 8\nrhs.table = 0,1,nan,0,0,0,0,0,0\n",
+                "{cfg}:10: rhs.table: table values must be finite",
+                id="rhs-table-nan",
+            ),
+            pytest.param(
+                ["stability"],
+                SECTION5_CFG
+                + "stability.perturbation = supplied-table\npanels = 8\n"
+                + "stability.table = 0,1,nan,0,0,0,0,0,0\n",
+                "{cfg}:11: stability.table: table values must be finite",
+                id="stability-table-nan",
+            ),
+            *(
+                pytest.param(
+                    ["stability"],
+                    SECTION5_CFG + f"stability.mode = uhr\nstability.lambda_phi = {lam}\n",
+                    "{cfg}:10: stability.lambda_phi: lambda_phi must be finite and positive",
+                    id=f"lambda-phi-{lam}",
+                )
+                for lam in ("-1", "0", "inf")
             ),
         ],
     )
