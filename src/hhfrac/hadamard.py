@@ -16,6 +16,15 @@ evaluates it with a zero-padded real FFT in O(N log N); the value at b
 alone is one dot product with the reversed weights, O(N).  Both start
 from the same split and extrapolation, so they agree to roundoff.
 
+What the rule reuses for one order mu on one grid (the FFT length, the
+weights, their reversal, the weights' spectrum and Gamma(mu)) is a
+:class:`QuadraturePlan`, built once per ``(mu, h, N)`` and cached by
+:func:`quadrature_plan`.  The split does not depend on mu
+(:func:`split_leading_mode`), so a caller that applies several orders to
+the same data, as each Picard sweep does, splits it once.
+``hadamard_integral`` and ``integral_value_at_b`` are the grid-function
+forms of the plan's two methods.
+
 The logarithmic derivative t d/dt is a second-order finite difference in x
 applied to the weighted profile, with the raw derivative reconstructed from
 the product rule ``u' = (V' + (gamma-1) V / x) x^(gamma-1)`` so that node 0
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,35 +74,29 @@ def _panel_weights(mu: float, h: float, n_panels: int):
     return a, d
 
 
-def _split_limit(f: GridFunction):
-    """Peel off the leading weighted mode: f = w0 (log t)^(gamma-1) + remainder."""
-    w0 = f.weighted_limit
-    rem = np.array(f.weighted_values)
-    rem -= w0
-    rem[0] = 0.0
-    return w0, rem
+class LeadingModeSplit(NamedTuple):
+    """A grid function as ``w0 (log t)^(gamma_weight-1)`` plus a raw remainder.
 
-
-def _remainder(f: GridFunction) -> GridFunction:
-    """The function minus its leading weighted mode."""
-    _, rem = _split_limit(f)
-    return GridFunction(f.grid, f.gamma_weight, rem)
-
-
-def _integrand(f: GridFunction, mu: float):
-    """Quadrature data shared by the full integral and its endpoint value.
-
-    Returns ``(x, g, g0, mode)``: the log nodes, the raw remainder at nodes
-    1..N, its extrapolated origin value, and the coefficient of (log t)^mu
-    in the weighted image of the leading mode (0 when there is no such
-    mode).
+    ``g`` holds the raw remainder at nodes 1..N and ``g0`` its extrapolated
+    origin value.  The split does not depend on the integration order, so
+    one split serves every order applied to the same data.
     """
-    if not mu > 0.0:
-        raise DomainError(f"hadamard_integral requires mu > 0, got {mu!r}")
-    gw = f.gamma_weight
-    x = f.grid.log_nodes
-    w0, rem = _split_limit(f)
-    if w0 != 0.0 and gw == 0.0:
+
+    gamma_weight: float
+    w0: float
+    g: np.ndarray
+    g0: float
+
+
+def split_leading_mode(
+    weighted: np.ndarray, gamma_weight: float, to_raw: np.ndarray
+) -> LeadingModeSplit:
+    """Peel the leading weighted mode off weighted samples at nodes 0..N.
+
+    ``to_raw`` is ``x^(gamma_weight-1)`` at nodes 1..N.
+    """
+    w0 = float(weighted[0])
+    if w0 != 0.0 and gamma_weight == 0.0:
         raise DomainError(
             "weight class 0 with a nonzero limit encodes a (log t)^(-1) mode, "
             "which is not Hadamard integrable"
@@ -103,15 +107,101 @@ def _integrand(f: GridFunction, mu: float):
     # class.  Quadratic extrapolation recovers it (exactly on pure
     # log-power families) and its intercept also absorbs most of the
     # first-panel chord error on power-kinked data.
-    g = rem[1:] * x[1:] ** (gw - 1.0)
+    g = (weighted[1:] - w0) * to_raw
     if g.shape[0] >= 3:
         g0 = 3.0 * g[0] - 3.0 * g[1] + g[2]
     elif g.shape[0] == 2:
         g0 = 2.0 * g[0] - g[1]
     else:
         g0 = g[0]
-    mode = w0 * math.exp(math.lgamma(gw) - math.lgamma(gw + mu)) if w0 != 0.0 else 0.0
-    return x, g, g0, mode
+    return LeadingModeSplit(gamma_weight, w0, g, g0)
+
+
+class QuadraturePlan:
+    """The product-trapezoidal rule of one order mu on one log-uniform grid.
+
+    Holds what every application of the rule reuses: the FFT length, the
+    endpoint weights ``a``, the reversed lag weights ``d_reversed`` for the
+    value at b, ``Gamma(mu)`` and, built on the first full integral, the
+    read-only real FFT of the lag weights.  Plans come from
+    :func:`quadrature_plan`, which caches them.
+    """
+
+    def __init__(self, mu: float, h: float, n_panels: int):
+        self.mu = mu
+        self.n_panels = n_panels
+        # zero-padded length >= 2N - 1, so no wrap-around reaches the
+        # first N outputs of the linear convolution
+        self.fft_size = 1 << (2 * n_panels - 2).bit_length()
+        self.a, self._d = _panel_weights(mu, h, n_panels)
+        self.d_reversed = self._d[::-1].copy()
+        self.d_reversed.setflags(write=False)
+        self.gamma_mu = math.gamma(mu)
+        self._spectrum = None
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Real FFT of the lag weights at the padded length (read-only)."""
+        if self._spectrum is None:
+            spectrum = np.fft.rfft(self._d, self.fft_size)
+            spectrum.setflags(write=False)
+            self._spectrum = spectrum
+        return self._spectrum
+
+    def _mode(self, split: LeadingModeSplit) -> float:
+        """Coefficient of (log t)^mu in the weighted image of the leading mode."""
+        if split.w0 == 0.0:
+            return 0.0
+        gw = split.gamma_weight
+        return split.w0 * math.exp(math.lgamma(gw) - math.lgamma(gw + self.mu))
+
+    def weighted_integral(
+        self, split: LeadingModeSplit, to_weighted: np.ndarray, x: np.ndarray
+    ) -> np.ndarray:
+        """Weighted I^mu at nodes 0..N; ``x`` and ``to_weighted`` are
+        ``log t`` and ``x^(1-gamma_weight)`` at nodes 1..N."""
+        size = self.fft_size
+        spectrum = np.fft.rfft(split.g, size)
+        spectrum *= self.spectrum
+        raw = np.fft.irfft(spectrum, size)[: self.n_panels]
+        raw += split.g0 * self.a
+        raw /= self.gamma_mu
+        out = np.zeros(self.n_panels + 1)
+        out[1:] = raw * to_weighted
+        mode = self._mode(split)
+        if mode != 0.0:
+            out[1:] += mode * x**self.mu
+        return out
+
+    def value_at_b(self, split: LeadingModeSplit, log_b: float) -> float:
+        """Raw (I^mu f)(b): one dot product with the reversed weights, O(N)."""
+        raw = (np.dot(split.g, self.d_reversed) + split.g0 * self.a[-1]) / self.gamma_mu
+        gw = split.gamma_weight
+        weighted = raw * log_b ** (1.0 - gw)
+        mode = self._mode(split)
+        if mode != 0.0:
+            weighted += mode * log_b**self.mu
+        return float(weighted) * log_b ** (gw - 1.0)
+
+
+@lru_cache(maxsize=128)
+def quadrature_plan(mu: float, h: float, n_panels: int) -> QuadraturePlan:
+    """The cached :class:`QuadraturePlan` of order mu > 0 on a grid of step h."""
+    if not mu > 0.0:
+        raise DomainError(f"hadamard_integral requires mu > 0, got {mu!r}")
+    return QuadraturePlan(mu, h, n_panels)
+
+
+def _split(f: GridFunction) -> LeadingModeSplit:
+    gw = f.gamma_weight
+    return split_leading_mode(f.weighted_values, gw, f.grid.log_nodes[1:] ** (gw - 1.0))
+
+
+def _remainder(f: GridFunction) -> GridFunction:
+    """The function minus its leading weighted mode."""
+    rem = f.weighted_values - f.weighted_limit
+    rem[0] = 0.0
+    return GridFunction(f.grid, f.gamma_weight, rem)
 
 
 def hadamard_integral(f: GridFunction, mu: float) -> GridFunction:
@@ -121,25 +211,11 @@ def hadamard_integral(f: GridFunction, mu: float) -> GridFunction:
     input's weight class gains a positive power of log t, so its weighted
     limit at 1+ vanishes.
     """
-    x, g, g0, mode = _integrand(f, mu)
     grid = f.grid
-    n = grid.n_panels
-    a, d = _panel_weights(mu, grid.h, n)
-    # linear convolution of g with d through a zero-padded real FFT of
-    # length >= 2N - 1, so no wrap-around reaches the first N outputs
-    size = 1 << (2 * n - 2).bit_length()
-    spectrum = np.fft.rfft(g, size)
-    spectrum *= np.fft.rfft(d, size)
-    raw = np.fft.irfft(spectrum, size)[:n]
-    raw += g0 * a
-    raw /= math.gamma(mu)
-
-    gw = f.gamma_weight
-    out = np.zeros(grid.n_nodes)
-    out[1:] = raw * x[1:] ** (1.0 - gw)
-    if mode != 0.0:
-        out[1:] += mode * x[1:] ** mu
-    return GridFunction(grid, gw, out)
+    plan = quadrature_plan(mu, grid.h, grid.n_panels)
+    x = grid.log_nodes[1:]
+    out = plan.weighted_integral(_split(f), x ** (1.0 - f.gamma_weight), x)
+    return GridFunction(grid, f.gamma_weight, out)
 
 
 def _profile_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -264,17 +340,7 @@ def hilfer_hadamard_derivative(f: GridFunction, order: Order) -> GridFunction:
 
 
 def integral_value_at_b(f: GridFunction, mu: float) -> float:
-    """Raw value of (I^mu f)(b): the last node of the integral, in O(N).
-
-    The convolution's last entry is one dot product with the reversed
-    weights, so no N-long convolution is formed.
-    """
-    _, g, g0, mode = _integrand(f, mu)
-    a, d = _panel_weights(mu, f.grid.h, f.grid.n_panels)
-    raw = (np.dot(g, d[::-1]) + g0 * a[-1]) / math.gamma(mu)
-    gw = f.gamma_weight
-    xb = math.log(f.grid.b)
-    weighted = raw * xb ** (1.0 - gw)
-    if mode != 0.0:
-        weighted += mode * xb**mu
-    return float(weighted) * xb ** (gw - 1.0)
+    """Raw value of (I^mu f)(b): the last node of the integral, in O(N)."""
+    grid = f.grid
+    plan = quadrature_plan(mu, grid.h, grid.n_panels)
+    return plan.value_at_b(_split(f), math.log(grid.b))

@@ -54,6 +54,8 @@ class RhsSpec:
             raise DomainError(f"rho_star must lie in [0, 1), got {self.rho_star!r}")
         if self.delta_star < 0.0 or self.sigma_star < 0.0:
             raise DomainError("growth coefficients must be nonnegative")
+        if not all(map(math.isfinite, (self.K_f, self.delta_star, self.sigma_star))):
+            raise DomainError("rhs constants K_f, delta_star and sigma_star must be finite")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -108,6 +110,12 @@ class RhsSpec:
         return 0.0
 
 
+def _require_finite(**params):
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"rhs parameter {name} must be finite, got {value!r}")
+
+
 def paper_example_rhs() -> RhsSpec:
     """f(t,u,v) = (1/(t(2+t))) [1 + |u|/(1+|u|) + |v|/(1+|v|)] on [1, e].
 
@@ -133,11 +141,20 @@ def manufactured_rhs(
     f(t) = coeff Gamma(p+1)/Gamma(p+1-alpha) (log t)^(p-alpha), independent
     of u and v (K_f = L_f = 0).
     """
+    _require_finite(exponent=exponent, coeff=coeff, critical_coeff=critical_coeff)
     p = exponent
     if p < 1.0:
         raise DomainError(f"manufactured exponent must be >= 1, got {p!r}")
-    f_coeff = coeff * math.gamma(p + 1.0) / math.gamma(p + 1.0 - order.alpha)
-    delta = abs(f_coeff) * math.log(b) ** (p - order.alpha)
+    try:
+        f_coeff = coeff * math.gamma(p + 1.0) / math.gamma(p + 1.0 - order.alpha)
+        delta = abs(f_coeff) * math.log(b) ** (p - order.alpha)
+    except OverflowError:
+        f_coeff = delta = math.inf
+    if not math.isfinite(delta):
+        raise DomainError(
+            f"manufactured rhs with exponent {p!r} and coeff {coeff!r} "
+            "overflows double precision"
+        )
     return RhsSpec(
         kind=MANUFACTURED,
         K_f=0.0, L_f=0.0,
@@ -154,6 +171,7 @@ def manufactured_rhs(
 
 def affine_rhs(g0: float, g1: float, a: float, c: float, b: float) -> RhsSpec:
     """f(t,u,v) = g0 + g1 log t + a u + c v with |c| < 1."""
+    _require_finite(g0=g0, g1=g1, a=a)
     if not abs(c) < 1.0:
         raise DomainError(f"affine rhs needs |c| < 1, got {c!r}")
     logb = math.log(b)

@@ -14,6 +14,16 @@ runs every solve; ``picard_solve``, ``solve_with_fixed_constant``
 the shift of the right-hand side and the defect they report.  Each
 returns ``(u, report)``, and the report carries F_u at the returned
 iterate.
+
+The sweeps run on weighted numpy arrays.  ``x^(gamma-1)``,
+``x^(1-gamma)`` and the quadrature plans of the orders alpha and
+nu = 1 - gamma + alpha are built once per solve, F_u is split into its
+leading mode and remainder once per sweep, and that split serves both Z
+(through ``(I^nu F_u)(b)``) and ``I^alpha F_u``.  Grid functions are built
+only for the start and for the returned u and F_u.  The operations are
+those of the grid-function operators, in the same order, so a solve is
+bit-for-bit what ``hadamard_integral`` and ``integral_value_at_b`` give
+sweep by sweep.
 """
 
 from __future__ import annotations
@@ -26,8 +36,13 @@ import numpy as np
 
 from .certificates import uniqueness_constant
 from .errors import ConvergenceError, DomainError, GridMismatchError
-from .grids import GridFunction, LogGrid, Order, log_power, weighted_norm
-from .hadamard import hadamard_integral, hilfer_hadamard_derivative, integral_value_at_b
+from .grids import GridFunction, LogGrid, Order, log_power
+from .hadamard import (
+    hilfer_hadamard_derivative,
+    integral_value_at_b,
+    quadrature_plan,
+    split_leading_mode,
+)
 from .problems import ProblemSpec, RhsSpec, SolveReport
 
 DEFAULT_TOL = 1e-10
@@ -36,49 +51,78 @@ DEFAULT_CAP = 200
 DEFAULT_INNER_CAP = 100
 
 
+class _Sweep:
+    """The fixed-point map on weighted arrays, with its per-solve data built once.
+
+    Holds ``x^(gamma-1)``, ``x^(1-gamma)``, the raw shift and the two
+    quadrature plans.  :meth:`apply` splits F_u once and shares that split
+    between the boundary value ``(I^nu F_u)(b)``, nu = 1 - gamma + alpha,
+    and the integral ``I^alpha F_u``.
+    """
+
+    def __init__(
+        self, rhs: RhsSpec, order: Order, grid: LogGrid,
+        shift: Optional[GridFunction] = None,
+    ):
+        g = order.gamma
+        x = grid.log_nodes[1:]
+        self.rhs, self.gamma, self.grid, self.x = rhs, g, grid, x
+        self.to_raw = x ** (g - 1.0)
+        self.to_weighted = x ** (1.0 - g)
+        self.shift_raw = shift.raw_tail() if shift is not None else 0.0
+        self.shift_limit = shift.weighted_limit if shift is not None else 0.0
+        self.alpha_plan = quadrature_plan(order.alpha, grid.h, grid.n_panels)
+        self.nu_plan = quadrature_plan(1.0 - g + order.alpha, grid.h, grid.n_panels)
+        self.log_b = math.log(grid.b)
+
+    def rhs_values(self, u_limit: float, u_raw: np.ndarray) -> np.ndarray:
+        """Weighted F_u (class gamma) from u's weighted limit and raw tail."""
+        w = np.empty(self.grid.n_nodes)
+        w[0] = self.rhs.weighted_limit(u_limit, self.gamma) + self.shift_limit
+        w[1:] = self.rhs.implicit_solution(self.grid.nodes[1:], u_raw, self.shift_raw)
+        w[1:] *= self.to_weighted
+        return w
+
+    def apply(self, f_values: np.ndarray, z_rule: Callable[[float], float]) -> np.ndarray:
+        """Weighted Z (log t)^(gamma-1) + I^alpha F for weighted F values.
+
+        ``z_rule`` maps ``(I^nu F)(b)`` to Z.
+        """
+        split = split_leading_mode(f_values, self.gamma, self.to_raw)
+        z = z_rule(self.nu_plan.value_at_b(split, self.log_b))
+        u_next = self.alpha_plan.weighted_integral(split, self.to_weighted, self.x)
+        u_next += z
+        return u_next
+
+
 def _implicit_rhs_grid(
     rhs: RhsSpec, order: Order, grid: LogGrid, u: GridFunction,
     shift: Optional[GridFunction] = None,
 ) -> GridFunction:
     """F_u on the grid, in weight class gamma."""
-    g = order.gamma
-    s_raw = shift.raw_tail() if shift is not None else 0.0
-    s_w0 = shift.weighted_limit if shift is not None else 0.0
-    f_raw = rhs.implicit_solution(grid.nodes[1:], u.raw_tail(), s_raw)
-    w = np.empty(grid.n_nodes)
-    w[0] = rhs.weighted_limit(u.weighted_limit, g) + s_w0
-    w[1:] = f_raw * grid.log_nodes[1:] ** (1.0 - g)
-    return GridFunction(grid, g, w)
+    values = _Sweep(rhs, order, grid, shift).rhs_values(u.weighted_limit, u.raw_tail())
+    return GridFunction(grid, order.gamma, values)
 
 
-def _z_from_rhs_grid(f_grid: GridFunction, problem: ProblemSpec) -> float:
-    """Coefficient of (log t)^(gamma-1) fixed by the boundary data."""
-    order = problem.order
-    nu = 1.0 - order.gamma + order.alpha
-    tail = integral_value_at_b(f_grid, nu)
+def _z_rule(problem: ProblemSpec) -> Callable[[float], float]:
+    """Z from (I^nu F_u)(b), fixed by the boundary data."""
     csum = problem.c1 + problem.c2
-    return (problem.phi / csum - problem.c2 / csum * tail) / math.gamma(order.gamma)
+    gamma_g = math.gamma(problem.order.gamma)
+    return lambda tail: (problem.phi / csum - problem.c2 / csum * tail) / gamma_g
 
 
 def compute_Z(u: GridFunction, problem: ProblemSpec) -> float:
     """Boundary-determined constant part for the candidate u (F_u solved first)."""
-    f_grid = _implicit_rhs_grid(problem.rhs, problem.order, u.grid, u)
-    return _z_from_rhs_grid(f_grid, problem)
-
-
-def _assemble(z: float, f_grid: GridFunction, order: Order) -> GridFunction:
-    """z (log t)^(gamma-1) + I^alpha F, in weight class gamma."""
-    integral = hadamard_integral(f_grid, order.alpha)
-    return GridFunction(
-        f_grid.grid, order.gamma, integral.weighted_values + z
-    )
+    order = problem.order
+    f_grid = _implicit_rhs_grid(problem.rhs, order, u.grid, u)
+    return _z_rule(problem)(integral_value_at_b(f_grid, 1.0 - order.gamma + order.alpha))
 
 
 def apply_Q(u: GridFunction, problem: ProblemSpec) -> GridFunction:
     """One application of the fixed-point operator of the mixed-type equation."""
-    f_grid = _implicit_rhs_grid(problem.rhs, problem.order, u.grid, u)
-    z = _z_from_rhs_grid(f_grid, problem)
-    return _assemble(z, f_grid, problem.order)
+    sweep = _Sweep(problem.rhs, problem.order, u.grid)
+    f_values = sweep.rhs_values(u.weighted_limit, u.raw_tail())
+    return GridFunction(u.grid, problem.order.gamma, sweep.apply(f_values, _z_rule(problem)))
 
 
 def _bc_defect(u: GridFunction, problem: ProblemSpec, f_grid: GridFunction) -> float:
@@ -120,26 +164,38 @@ def _bc_defect(u: GridFunction, problem: ProblemSpec, f_grid: GridFunction) -> f
 
 def _solve(
     rhs: RhsSpec, order: Order, grid: LogGrid,
-    z_rule: Callable[[GridFunction], float], z_start: float,
+    z_rule: Callable[[float], float], z_start: float,
     shift: Optional[GridFunction],
     defect: Callable[[GridFunction, GridFunction], float],
     tol: float, cap: int,
 ):
     """Iterate u <- Z (log t)^(gamma-1) + I^alpha F_u until the increment drops.
 
-    ``z_rule`` maps F_u to Z, ``shift`` is added to the right-hand side and
-    ``defect(u, F_u)`` measures the side condition; returns (u, report).
+    ``z_rule`` maps ``(I^nu F_u)(b)`` to Z, ``shift`` is added to the
+    right-hand side and ``defect(u, F_u)`` measures the side condition;
+    returns (u, report).  The start is built as a grid function for its
+    checks of the weight class and the values.
     """
     if cap < 1 or not 0.0 < tol < math.inf:
         raise DomainError(
             f"need cap >= 1 and a finite tol > 0, got cap={cap!r}, tol={tol!r}"
         )
-    u = GridFunction(grid, order.gamma, np.full(grid.n_nodes, z_start))
+    u = GridFunction(grid, order.gamma, np.full(grid.n_nodes, z_start)).weighted_values
+    sweep = _Sweep(rhs, order, grid, shift)
+
+    def step(u):
+        """(F_u, Q u, sup |Q u - u|) on weighted arrays."""
+        f_values = sweep.rhs_values(float(u[0]), u[1:] * sweep.to_raw)
+        u_next = sweep.apply(f_values, z_rule)
+        change = float(np.max(np.abs(u_next - u)))
+        # a non-finite iterate makes the change non-finite
+        if not math.isfinite(change):
+            raise DomainError("grid function values must be finite")
+        return f_values, u_next, change
+
     history = []
     for _ in range(cap):
-        f_grid = _implicit_rhs_grid(rhs, order, grid, u, shift=shift)
-        u_next = _assemble(z_rule(f_grid), f_grid, order)
-        increment = weighted_norm(u_next - u)
+        _, u_next, increment = step(u)
         history.append(increment)
         u = u_next
         if increment <= tol:
@@ -152,8 +208,8 @@ def _solve(
         )
     # residual against one more application of the operator; its F_u is
     # the right-hand side at the returned iterate
-    f_grid = _implicit_rhs_grid(rhs, order, grid, u, shift=shift)
-    residual = weighted_norm(_assemble(z_rule(f_grid), f_grid, order) - u)
+    f_values, _, residual = step(u)
+    u, f_grid = GridFunction(grid, order.gamma, u), GridFunction(grid, order.gamma, f_values)
     return u, SolveReport(
         iterations=len(history), final_update_norm=history[-1],
         residual_norm=residual, bc_defect=defect(u, f_grid),
@@ -180,7 +236,7 @@ def picard_solve(
     z0 = problem.phi / ((problem.c1 + problem.c2) * math.gamma(problem.order.gamma))
     return _solve(
         problem.rhs, problem.order, grid,
-        lambda f_grid: _z_from_rhs_grid(f_grid, problem), z0, None,
+        _z_rule(problem), z0, None,
         lambda u, f_grid: _bc_defect(u, problem, f_grid),
         tol, cap,
     )
@@ -201,7 +257,7 @@ def solve_with_fixed_constant(
     if shift is not None and (shift.grid.b, shift.grid.n_panels) != (grid.b, grid.n_panels):
         raise GridMismatchError("perturbation must live on the solve grid")
     return _solve(
-        problem.rhs, problem.order, grid, lambda f_grid: z_fixed, z_fixed, shift,
+        problem.rhs, problem.order, grid, lambda tail: z_fixed, z_fixed, shift,
         lambda u, f_grid: _bc_defect(u, problem, f_grid),
         tol, cap,
     )
@@ -216,7 +272,7 @@ def solve_ivp(
         raise DomainError(f"solve_ivp requires a finite b > 1, got {b!r}")
     z0 = u0 / math.gamma(order.gamma)
     return _solve(
-        rhs, order, grid, lambda f_grid: z0, z0, None,
+        rhs, order, grid, lambda tail: z0, z0, None,
         lambda u, f_grid: abs(math.gamma(order.gamma) * u.weighted_limit - u0),
         tol, cap,
     )

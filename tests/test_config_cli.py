@@ -355,6 +355,41 @@ class TestCli:
                 id="manufactured-exponent-half",
             ),
             pytest.param(
+                ["solve"], MANUFACTURED_CFG.replace("exponent = 2", "exponent = 400"),
+                "{cfg}:7: rhs: manufactured rhs with exponent 400.0 and coeff 1.0 "
+                "overflows double precision",
+                id="manufactured-exponent-400",
+            ),
+            pytest.param(
+                ["solve"], MANUFACTURED_CFG.replace("exponent = 2", "exponent = nan"),
+                "{cfg}:7: rhs: rhs parameter exponent must be finite, got nan",
+                id="manufactured-exponent-nan",
+            ),
+            pytest.param(
+                ["certify"], MANUFACTURED_CFG.replace("coeff = 1", "coeff = inf"),
+                "{cfg}:7: rhs: rhs parameter coeff must be finite, got inf",
+                id="manufactured-coeff-inf",
+            ),
+            pytest.param(
+                ["solve"],
+                SECTION5_CFG.replace("paper-example", "affine-in-uv") + "rhs.g0 = inf\n",
+                "{cfg}:7: rhs: rhs parameter g0 must be finite, got inf",
+                id="affine-g0-inf",
+            ),
+            pytest.param(
+                ["stability"],
+                SECTION5_CFG.replace("paper-example", "affine-in-uv") + "rhs.a = nan\n",
+                "{cfg}:7: rhs: rhs parameter a must be finite, got nan",
+                id="affine-a-nan",
+            ),
+            pytest.param(
+                ["solve"],
+                SECTION5_CFG.replace("paper-example", "affine-in-uv")
+                + "rhs.g0 = 1e308\nrhs.g1 = 1e308\n",
+                "{cfg}:7: rhs: rhs constants K_f, delta_star and sigma_star must be finite",
+                id="affine-delta-overflow",
+            ),
+            pytest.param(
                 ["solve"],
                 SECTION5_CFG.replace("paper-example", "custom-table")
                 + "panels = 8\nrhs.table = 0,1,nan,0,0,0,0,0,0\n",

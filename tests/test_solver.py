@@ -55,6 +55,29 @@ class TestProblemSpec:
         with pytest.raises(DomainError):
             manufactured_rhs(ORDER, math.e, exponent=0.5)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: manufactured_rhs(ORDER, math.e, exponent=v),
+            lambda v: manufactured_rhs(ORDER, math.e, coeff=v),
+            lambda v: manufactured_rhs(ORDER, math.e, critical_coeff=v),
+            lambda v: affine_rhs(v, 0.0, 0.0, 0.0, math.e),
+            lambda v: affine_rhs(0.0, v, 0.0, 0.0, math.e),
+            lambda v: affine_rhs(0.0, 0.0, v, 0.0, math.e),
+            lambda v: affine_rhs(0.0, 0.0, 0.0, v, math.e),
+        ],
+        ids=["exponent", "coeff", "critical_coeff", "g0", "g1", "a", "c"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_catalog_parameters_rejected(self, build, value):
+        with pytest.raises(DomainError):
+            build(value)
+
+    @pytest.mark.parametrize("exponent, coeff", [(400.0, 1.0), (150.0, 1e300)])
+    def test_manufactured_overflow_is_a_domain_error(self, exponent, coeff):
+        with pytest.raises(DomainError, match="overflows double precision"):
+            manufactured_rhs(ORDER, math.e, exponent=exponent, coeff=coeff)
+
 
 EPS = np.finfo(float).eps
 
@@ -345,7 +368,7 @@ class TestSolveArguments:
         def no_sweep(*args, **kwargs):
             raise AssertionError("a sweep ran")
 
-        monkeypatch.setattr("hhfrac.solver._implicit_rhs_grid", no_sweep)
+        monkeypatch.setattr("hhfrac.solver._Sweep", no_sweep)
         solve = {
             "picard": lambda: picard_solve(section5, grid512, tol=tol, cap=cap),
             "fixed": lambda: solve_with_fixed_constant(

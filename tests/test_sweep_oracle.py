@@ -1,0 +1,260 @@
+"""The solver's array-level Picard loop against a plain reference loop.
+
+The reference iterates ``u <- Z (log t)^(gamma-1) + I^alpha F_u`` over grid
+functions, one public operator call at a time: F_u from the catalog's
+closed-form implicit solve, Z through ``integral_value_at_b`` and the
+integral through ``hadamard_integral``.  The solver performs the same
+floating-point operations in the same order on weighted arrays, so every
+output must agree bit for bit, and a failing solve must fail the same way.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from hhfrac.errors import ConvergenceError, DomainError
+from hhfrac.grids import GridFunction, LogGrid, Order, log_power, weighted_norm
+from hhfrac.hadamard import (
+    _panel_weights,
+    hadamard_integral,
+    integral_value_at_b,
+    quadrature_plan,
+)
+from hhfrac.problems import ProblemSpec, affine_rhs, paper_example_problem
+from hhfrac.solver import (
+    DEFAULT_CAP,
+    DEFAULT_TOL,
+    _bc_defect,
+    picard_solve,
+    solve_ivp,
+    solve_with_fixed_constant,
+)
+
+
+def reference_rhs(rhs, order, grid, u, shift):
+    g = order.gamma
+    s_raw = shift.raw_tail() if shift is not None else 0.0
+    s_w0 = shift.weighted_limit if shift is not None else 0.0
+    w = np.empty(grid.n_nodes)
+    w[0] = rhs.weighted_limit(u.weighted_limit, g) + s_w0
+    w[1:] = rhs.implicit_solution(grid.nodes[1:], u.raw_tail(), s_raw) * grid.log_nodes[1:] ** (
+        1.0 - g
+    )
+    return GridFunction(grid, g, w)
+
+
+def boundary_z(problem):
+    order = problem.order
+    nu = 1.0 - order.gamma + order.alpha
+    csum = problem.c1 + problem.c2
+
+    def z_of(f_grid):
+        tail = integral_value_at_b(f_grid, nu)
+        return (problem.phi / csum - problem.c2 / csum * tail) / math.gamma(order.gamma)
+
+    return z_of
+
+
+def reference_solve(rhs, order, grid, z_of, z_start, shift, defect):
+    """(u, F_u, iterations, final increment, residual, defect) of the plain loop."""
+
+    def q(u):
+        f_grid = reference_rhs(rhs, order, grid, u, shift)
+        integral = hadamard_integral(f_grid, order.alpha)
+        return f_grid, GridFunction(grid, order.gamma, integral.weighted_values + z_of(f_grid))
+
+    u = GridFunction(grid, order.gamma, np.full(grid.n_nodes, z_start))
+    history = []
+    for _ in range(DEFAULT_CAP):
+        _, u_next = q(u)
+        history.append(weighted_norm(u_next - u))
+        u = u_next
+        if history[-1] <= DEFAULT_TOL:
+            break
+    else:
+        raise ConvergenceError(
+            f"successive approximation did not converge within {DEFAULT_CAP} sweeps "
+            f"(last increment {history[-1]:.3e})",
+            history=history,
+        )
+    f_grid, u_next = q(u)
+    residual = weighted_norm(u_next - u)
+    return u, f_grid, len(history), history[-1], residual, defect(u, f_grid)
+
+
+def reference_for(entry, problem, grid):
+    order, rhs = problem.order, problem.rhs
+    if entry == "picard":
+        z0 = problem.phi / ((problem.c1 + problem.c2) * math.gamma(order.gamma))
+        return reference_solve(
+            rhs, order, grid, boundary_z(problem), z0, None,
+            lambda u, f: _bc_defect(u, problem, f),
+        )
+    if entry == "fixed":
+        z_fixed, shift = 0.6, log_power(grid, order.gamma, 0.0, coeff=1e-3)
+        return reference_solve(
+            rhs, order, grid, lambda f: z_fixed, z_fixed, shift,
+            lambda u, f: _bc_defect(u, problem, f),
+        )
+    u0 = 0.7
+    return reference_solve(
+        rhs, order, grid, lambda f: u0 / math.gamma(order.gamma), u0 / math.gamma(order.gamma),
+        None, lambda u, f: abs(math.gamma(order.gamma) * u.weighted_limit - u0),
+    )
+
+
+def solver_for(entry, problem, grid):
+    order = problem.order
+    if entry == "picard":
+        u, report = picard_solve(problem, grid)
+    elif entry == "fixed":
+        shift = log_power(grid, order.gamma, 0.0, coeff=1e-3)
+        u, report = solve_with_fixed_constant(problem, grid, 0.6, shift=shift)
+    else:
+        u, report = solve_ivp(order, problem.b, 0.7, problem.rhs, grid)
+    return (
+        u, report.F_u, report.iterations, report.final_update_norm,
+        report.residual_norm, report.bc_defect,
+    )
+
+
+def outcome(solve, entry, problem, grid):
+    """The solve's outputs, or the type and message of what it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return solve(entry, problem, grid)
+        except (ConvergenceError, DomainError) as exc:
+            return type(exc).__name__, str(exc)
+
+
+def assert_bitwise(a, b):
+    assert a.gamma_weight == b.gamma_weight
+    np.testing.assert_array_equal(a.weighted_values, b.weighted_values)
+    assert a.weighted_values.tobytes() == b.weighted_values.tobytes()
+
+
+def affine_problem(beta, a=0.25, b=2.5):
+    # a != 0 gives F_u a nonzero weighted limit, hence a leading mode
+    return ProblemSpec(
+        order=Order(0.4, beta), b=b, c1=1.0, c2=1.5, phi=0.8,
+        rhs=affine_rhs(0.3, -0.2, a, 0.3, b),
+    )
+
+
+PROBLEMS = {
+    "paper-example": paper_example_problem(),
+    "affine-beta-0": affine_problem(0.0),
+    "affine-beta-0.999": affine_problem(0.999),
+}
+ENTRIES = ("picard", "fixed", "ivp")
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("n_panels", [5, 6, 64, 512])
+def test_solves_match_reference_bitwise(n_panels, name, entry):
+    problem = PROBLEMS[name]
+    grid = LogGrid(problem.b, n_panels)
+    expected = outcome(reference_for, entry, problem, grid)
+    got = outcome(solver_for, entry, problem, grid)
+    assert isinstance(got, tuple) and len(got) == 6, got
+    assert_bitwise(got[0], expected[0])
+    assert_bitwise(got[1], expected[1])
+    assert got[2:] == expected[2:]
+
+
+def test_leading_mode_is_exercised():
+    problem = PROBLEMS["affine-beta-0"]
+    u, f_grid, *_ = solver_for("picard", problem, LogGrid(problem.b, 64))
+    assert f_grid.weighted_limit != 0.0
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_beta_one_fails_like_reference(entry):
+    # gamma = alpha + (1 - alpha) rounds to 1, outside every weight class
+    problem = affine_problem(1.0)
+    grid = LogGrid(problem.b, 64)
+    got = outcome(solver_for, entry, problem, grid)
+    assert got == outcome(reference_for, entry, problem, grid)
+    assert got[0] == "DomainError" and "gamma_weight" in got[1]
+
+
+@pytest.mark.parametrize(
+    "entry, raised",
+    [
+        ("picard", ("DomainError", "grid function values must be finite")),
+        # with Z frozen the map is a Volterra operator: its iterates grow to
+        # about 1e276 and the increments are still above tol at the cap
+        ("fixed", ("ConvergenceError", "successive approximation did not converge")),
+        ("ivp", ("ConvergenceError", "successive approximation did not converge")),
+    ],
+)
+def test_diverging_affine_problem_fails_like_reference(entry, raised):
+    problem = affine_problem(0.0, a=60.0, b=math.e)
+    grid = LogGrid(problem.b, 64)
+    got = outcome(solver_for, entry, problem, grid)
+    assert got[0] == raised[0] and got[1].startswith(raised[1])
+    assert got == outcome(reference_for, entry, problem, grid)
+
+
+@pytest.mark.parametrize("n_panels", [1, 5, 512])
+@pytest.mark.parametrize("mu", [1.0 / 3.0, 0.7, 1.5])
+def test_cached_plan_is_read_only_and_matches_fresh_transforms(n_panels, mu):
+    grid = LogGrid(math.e, n_panels)
+    plan = quadrature_plan(mu, grid.h, n_panels)
+    assert quadrature_plan(mu, grid.h, n_panels) is plan
+    a, d = _panel_weights(mu, grid.h, n_panels)
+    size = 1 << (2 * n_panels - 2).bit_length()
+    assert plan.fft_size == size
+    assert plan.gamma_mu == math.gamma(mu)
+    assert plan.a is a
+    assert plan.d_reversed.tobytes() == d[::-1].tobytes()
+    assert plan.spectrum.tobytes() == np.fft.rfft(d, size).tobytes()
+    assert plan.spectrum is plan.spectrum
+    for array in (plan.a, plan.d_reversed, plan.spectrum):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("n_panels", [1, 2, 5, 64, 513])
+@pytest.mark.parametrize("gw, limit", [(0.0, 0.0), (7.0 / 9.0, 0.0), (7.0 / 9.0, 0.8)])
+def test_plan_matches_uncached_quadrature_bitwise(n_panels, gw, limit):
+    """The operators through the cached plan equal the rule written out in full."""
+    grid = LogGrid(1.7, n_panels)
+    x = grid.log_nodes[1:]
+    w = limit + np.sin(3.0 * grid.log_nodes) + 0.5 * grid.log_nodes**2
+    w[0] = limit
+    f = GridFunction(grid, gw, w)
+    for mu in (0.2, 2.0 / 3.0, 1.5):
+        rem = np.array(f.weighted_values)
+        rem -= limit
+        g = rem[1:] * x ** (gw - 1.0)
+        if n_panels >= 3:
+            g0 = 3.0 * g[0] - 3.0 * g[1] + g[2]
+        elif n_panels == 2:
+            g0 = 2.0 * g[0] - g[1]
+        else:
+            g0 = g[0]
+        mode = limit * math.exp(math.lgamma(gw) - math.lgamma(gw + mu)) if limit else 0.0
+        a, d = _panel_weights(mu, grid.h, n_panels)
+        size = 1 << (2 * n_panels - 2).bit_length()
+        spectrum = np.fft.rfft(g, size)
+        spectrum *= np.fft.rfft(d, size)
+        raw = np.fft.irfft(spectrum, size)[:n_panels]
+        raw += g0 * a
+        raw /= math.gamma(mu)
+        out = np.zeros(grid.n_nodes)
+        out[1:] = raw * x ** (1.0 - gw)
+        if mode:
+            out[1:] += mode * x**mu
+        assert hadamard_integral(f, mu).weighted_values.tobytes() == out.tobytes()
+
+        xb = math.log(grid.b)
+        at_b = (np.dot(g, d[::-1]) + g0 * a[-1]) / math.gamma(mu) * xb ** (1.0 - gw)
+        if mode:
+            at_b += mode * xb**mu
+        assert integral_value_at_b(f, mu) == float(at_b) * xb ** (gw - 1.0)
