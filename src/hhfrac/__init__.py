@@ -48,7 +48,6 @@ from .solver import (
     compute_Z,
     picard_solve,
     residual_fide,
-    solve_ivp,
     solve_with_fixed_constant,
 )
 from .specfun import MLSeriesResult, beta, mittag_leffler, mittag_leffler_array
@@ -102,7 +101,6 @@ __all__ = [
     "run_experiments",
     "run_uh_experiment",
     "run_uhr_experiment",
-    "solve_ivp",
     "solve_with_fixed_constant",
     "table_rhs",
     "ulam_hyers_constant",

@@ -16,8 +16,8 @@ Subcommands:
 a bad one by its flag.
 
 Exit status is 0 exactly when every check the command ran has passed.
-Configuration and domain errors, an overflowing Mittag-Leffler factor
-among them, print one ``error:`` line and exit 2.  A solve that reaches its
+Configuration, domain and file errors, an overflowing Mittag-Leffler
+factor among them, print one ``error:`` line and exit 2.  A solve that reaches its
 cap prints one ``solve failed:`` line and a ``lambda_phi`` that fails its
 nodewise verification one ``certificate rejected:`` line (``certify`` and
 ``stability``); both exit 1.
@@ -94,10 +94,11 @@ def cmd_solve(config: RunConfig, out: Optional[str]) -> int:
     grid = config.grid()
     problem = config.problem(grid)
     u, report = picard_solve(problem, grid, tol=config.tol, cap=config.cap)
-    sys.stdout.write(_report_lines(report))
-    sys.stdout.write(f"fide_residual = {residual_fide(u, problem)!r}\n")
+    # the file first, so that a failing --out leaves stdout empty
     if out is not None:
         _write(out, _solution_csv(u, report.F_u))
+    sys.stdout.write(_report_lines(report))
+    sys.stdout.write(f"fide_residual = {residual_fide(u, problem)!r}\n")
     return 0
 
 
@@ -215,7 +216,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             return cmd_certify(config, args.out)
         return cmd_stability(config, args.out)
-    except (ConfigError, DomainError, FileNotFoundError, MLOverflowError) as exc:
+    except (ConfigError, DomainError, MLOverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -287,5 +287,9 @@ def parse_config(
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), source=path, overrides=overrides)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_config(text, source=path, overrides=overrides)

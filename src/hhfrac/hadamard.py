@@ -297,29 +297,23 @@ def hadamard_derivative(f: GridFunction, mu: float) -> GridFunction:
 def hilfer_hadamard_derivative(f: GridFunction, order: Order) -> GridFunction:
     """Hilfer-Hadamard derivative I^(beta(1-alpha)) (t d/dt) I^((1-beta)(1-alpha)).
 
-    The critical mode (log t)^(gamma_order - 1) is annihilated (it is the
-    operator's kernel); every mode above it transforms exactly as under the
-    plain Hadamard derivative of order alpha.  That is how the composition
-    is evaluated: peel the leading weighted mode, treat it in closed form,
-    and differentiate the remainder with the order-alpha operator.  The two
-    compositions agree on the remainder because its I^((1-beta)(1-alpha))
-    image vanishes at 1+, which lets the outer integral commute with
-    t d/dt; keeping the derivative last avoids running finite-difference
-    output through another weakly singular quadrature.
+    The critical mode (log t)^(gamma_order - 1) is the operator's kernel,
+    and every mode above it transforms as under the plain Hadamard
+    derivative of order alpha, so the result is ``hadamard_derivative(f,
+    alpha)`` of f, or of its remainder when the leading weighted mode is
+    the critical one.  The two compositions agree above the kernel because
+    there the I^((1-beta)(1-alpha)) image vanishes at 1+, which lets the
+    outer integral commute with t d/dt; keeping the derivative last avoids
+    running finite-difference output through another weakly singular
+    quadrature.
 
     Inputs are assumed to lie in the operator's domain: modes strictly
     below the critical exponent (other than a peelable leading mode, which
     raises) have no Hilfer-Hadamard derivative.
     """
-    alpha, beta_t, go = order.alpha, order.beta_type, order.gamma
-    if beta_t == 0.0:
-        return hadamard_derivative(f, alpha)
-    grid = f.grid
-    gw = f.gamma_weight
-    w0 = f.weighted_limit
-
-    s_coeff = 0.0
-    if w0 != 0.0:
+    alpha, go = order.alpha, order.gamma
+    if order.beta_type != 0.0 and f.weighted_limit != 0.0:
+        gw = f.gamma_weight
         if gw == 0.0:
             raise DomainError("weight class 0 admits no nonzero limit mode")
         if gw < go - _TOL:
@@ -327,16 +321,9 @@ def hilfer_hadamard_derivative(f: GridFunction, order: Order) -> GridFunction:
                 f"the (log t)^({gw}-1) mode lies below the critical exponent "
                 f"{go} - 1; its Hilfer-Hadamard derivative does not exist"
             )
-        if abs(gw - go) > _TOL:
-            s_coeff = w0 * gamma_ratio(gw, alpha)
-
-    d_rem = hadamard_derivative(_remainder(f), alpha)
-    if s_coeff == 0.0:
-        return d_rem
-    # s_coeff (log t)^(gw-alpha-1) is the constant s_coeff in class gw-alpha
-    return GridFunction(
-        grid, d_rem.gamma_weight, d_rem.weighted_values + s_coeff
-    )
+        if abs(gw - go) <= _TOL:
+            f = _remainder(f)
+    return hadamard_derivative(f, alpha)
 
 
 def integral_value_at_b(f: GridFunction, mu: float) -> float:

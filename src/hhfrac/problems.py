@@ -209,6 +209,9 @@ class ProblemSpec:
     def __post_init__(self):
         if not 1.0 < self.b < math.inf:
             raise DomainError(f"problem requires a finite b > 1, got {self.b!r}")
+        for name in ("c1", "c2", "phi"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise DomainError(f"problem requires a finite {name}, got {value!r}")
         if self.c1 + self.c2 == 0.0:
             raise DomainError("boundary condition requires c1 + c2 != 0")
         if self.c2 == 0.0:

@@ -9,11 +9,11 @@ with the scalar Z_u fixed by the two-point boundary data.  Each outer
 Picard sweep resolves the implicit right-hand side at every node at once
 (closed-form implicit solve per catalog entry, unique because L_f < 1),
 recomputes Z_u, and applies the Hadamard integral.  One private engine
-runs every solve; ``picard_solve``, ``solve_with_fixed_constant``
-(perturbed re-solves) and ``solve_ivp`` differ only in how Z is fixed,
-the shift of the right-hand side and the defect they report.  Each
-returns ``(u, report)``, and the report carries F_u at the returned
-iterate.
+runs every solve; ``picard_solve`` fixes Z by the boundary data and
+``solve_with_fixed_constant`` freezes it, for perturbed re-solves and for
+initial-value solves ``(I^(1-gamma) u)(1+) = u0`` with ``z_fixed = u0 /
+Gamma(gamma)``.  Each returns ``(u, report)``; the report carries F_u at
+the returned iterate and the boundary defect.
 
 The sweeps run on weighted numpy arrays.  ``x^(gamma-1)``,
 ``x^(1-gamma)`` and the quadrature plans of the orders alpha and
@@ -145,10 +145,7 @@ def _bc_defect(u: GridFunction, problem: ProblemSpec, f_grid: GridFunction) -> f
     correction = 0.0
     if grid.n_panels >= 3:
         x = grid.log_nodes
-        f_rem_raw = (
-            f_grid.weighted_values[1:4] - f_grid.weighted_limit
-        ) * x[1:4] ** (g - 1.0)
-        f_at_one = 3.0 * f_rem_raw[0] - 3.0 * f_rem_raw[1] + f_rem_raw[2]
+        f_at_one = split_leading_mode(f_grid.weighted_values[:4], g, x[1:4] ** (g - 1.0)).g0
         if f_at_one != 0.0:
             mode_coeff = f_at_one / math.gamma(order.alpha + 1.0)
             candidate = u - log_power(grid, g, order.alpha, coeff=mode_coeff)
@@ -163,25 +160,24 @@ def _bc_defect(u: GridFunction, problem: ProblemSpec, f_grid: GridFunction) -> f
 
 
 def _solve(
-    rhs: RhsSpec, order: Order, grid: LogGrid,
+    problem: ProblemSpec, grid: LogGrid,
     z_rule: Callable[[float], float], z_start: float,
-    shift: Optional[GridFunction],
-    defect: Callable[[GridFunction, GridFunction], float],
-    tol: float, cap: int,
+    shift: Optional[GridFunction], tol: float, cap: int,
 ):
     """Iterate u <- Z (log t)^(gamma-1) + I^alpha F_u until the increment drops.
 
-    ``z_rule`` maps ``(I^nu F_u)(b)`` to Z, ``shift`` is added to the
-    right-hand side and ``defect(u, F_u)`` measures the side condition;
-    returns (u, report).  The start is built as a grid function for its
-    checks of the weight class and the values.
+    ``z_rule`` maps ``(I^nu F_u)(b)`` to Z and ``shift`` is added to the
+    right-hand side; returns (u, report) with the boundary defect of u.
+    The start is built as a grid function for its checks of the weight
+    class and the values.
     """
     if cap < 1 or not 0.0 < tol < math.inf:
         raise DomainError(
             f"need cap >= 1 and a finite tol > 0, got cap={cap!r}, tol={tol!r}"
         )
-    u = GridFunction(grid, order.gamma, np.full(grid.n_nodes, z_start)).weighted_values
-    sweep = _Sweep(rhs, order, grid, shift)
+    gamma = problem.order.gamma
+    u = GridFunction(grid, gamma, np.full(grid.n_nodes, z_start)).weighted_values
+    sweep = _Sweep(problem.rhs, problem.order, grid, shift)
 
     def step(u):
         """(F_u, Q u, sup |Q u - u|) on weighted arrays."""
@@ -209,10 +205,10 @@ def _solve(
     # residual against one more application of the operator; its F_u is
     # the right-hand side at the returned iterate
     f_values, _, residual = step(u)
-    u, f_grid = GridFunction(grid, order.gamma, u), GridFunction(grid, order.gamma, f_values)
+    u, f_grid = GridFunction(grid, gamma, u), GridFunction(grid, gamma, f_values)
     return u, SolveReport(
         iterations=len(history), final_update_norm=history[-1],
-        residual_norm=residual, bc_defect=defect(u, f_grid),
+        residual_norm=residual, bc_defect=_bc_defect(u, problem, f_grid),
         inner_iteration_max=1, F_u=f_grid,
     )
 
@@ -234,12 +230,7 @@ def picard_solve(
             "may diverge", stacklevel=2
         )
     z0 = problem.phi / ((problem.c1 + problem.c2) * math.gamma(problem.order.gamma))
-    return _solve(
-        problem.rhs, problem.order, grid,
-        _z_rule(problem), z0, None,
-        lambda u, f_grid: _bc_defect(u, problem, f_grid),
-        tol, cap,
-    )
+    return _solve(problem, grid, _z_rule(problem), z0, None, tol, cap)
 
 
 def solve_with_fixed_constant(
@@ -250,32 +241,13 @@ def solve_with_fixed_constant(
     """Solve with the (log t)^(gamma-1) coefficient frozen at ``z_fixed``.
 
     Used for perturbed re-solves that must share the unperturbed solution's
-    weighted limit at 1+.  ``shift`` is an additive perturbation h(t) of
-    the right-hand side, as a grid function in the solution's weight class;
-    the report's ``F_u`` then includes it.
+    weighted limit at 1+, and for initial-value solves.  ``shift`` is an
+    additive perturbation h(t) of the right-hand side, as a grid function
+    in the solution's weight class; the report's ``F_u`` then includes it.
     """
     if shift is not None and (shift.grid.b, shift.grid.n_panels) != (grid.b, grid.n_panels):
         raise GridMismatchError("perturbation must live on the solve grid")
-    return _solve(
-        problem.rhs, problem.order, grid, lambda tail: z_fixed, z_fixed, shift,
-        lambda u, f_grid: _bc_defect(u, problem, f_grid),
-        tol, cap,
-    )
-
-
-def solve_ivp(
-    order: Order, b: float, u0: float, rhs: RhsSpec, grid: LogGrid,
-    tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
-):
-    """Initial-value variant: u = u0 (log t)^(gamma-1)/Gamma(gamma) + I^alpha F_u."""
-    if not 1.0 < b < math.inf:
-        raise DomainError(f"solve_ivp requires a finite b > 1, got {b!r}")
-    z0 = u0 / math.gamma(order.gamma)
-    return _solve(
-        rhs, order, grid, lambda tail: z0, z0, None,
-        lambda u, f_grid: abs(math.gamma(order.gamma) * u.weighted_limit - u0),
-        tol, cap,
-    )
+    return _solve(problem, grid, lambda tail: z_fixed, z_fixed, shift, tol, cap)
 
 
 def residual_fide(u: GridFunction, problem: ProblemSpec) -> float:

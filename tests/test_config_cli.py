@@ -440,6 +440,40 @@ class TestCli:
     def test_missing_config_file(self, capsys):
         assert main(["solve", "--config", "/nonexistent.cfg"]) == 2
 
+    @staticmethod
+    def assert_one_error_line(capsys, expected=None):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        if expected is not None:
+            assert line == "error: " + expected
+
+    @pytest.mark.parametrize("target", ["directory", "under-a-file"])
+    @pytest.mark.parametrize("command", ["solve", "certify", "stability"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys, command, target):
+        cfg = tmp_path / "s5.cfg"
+        cfg.write_text(SECTION5_CFG.replace("stability.epsilon = 1e-2,1e-3", "panels = 16"))
+        (tmp_path / "plain").write_text("")
+        out = {"directory": tmp_path, "under-a-file": tmp_path / "plain" / "out.csv"}[target]
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["solve", "certify", "stability"])
+    def test_config_directory_is_one_error_line(self, tmp_path, capsys, command):
+        assert main([command, "--config", str(tmp_path)]) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["solve", "certify", "stability"])
+    def test_non_utf8_config_is_one_error_line(self, tmp_path, capsys, command):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(SECTION5_CFG.encode() + "# r\xe9sum\xe9\n".encode("latin-1"))
+        assert main([command, "--config", str(cfg)]) == 2
+        offset = len(SECTION5_CFG.encode()) + 3
+        self.assert_one_error_line(
+            capsys, f"{cfg}: not UTF-8 text: invalid continuation byte at byte {offset}"
+        )
+
     def test_shipped_configs_parse(self):
         root = Path(__file__).resolve().parent.parent / "configs"
         paths = sorted(root.glob("*.cfg"))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hhfrac.problems import (
     manufactured_problem,
     manufactured_rhs,
     manufactured_solution,
+    paper_example_problem,
     paper_example_rhs,
     table_rhs,
 )
@@ -22,7 +24,6 @@ from hhfrac.solver import (
     compute_Z,
     picard_solve,
     residual_fide,
-    solve_ivp,
     solve_with_fixed_constant,
 )
 
@@ -48,6 +49,12 @@ class TestProblemSpec:
     def test_non_finite_b_rejected(self, b):
         with pytest.raises(DomainError, match="finite b > 1"):
             ProblemSpec(order=ORDER, b=b, c1=2.0, c2=1.0, phi=0.0, rhs=paper_example_rhs())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["c1", "c2", "phi"])
+    def test_non_finite_boundary_data_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"requires a finite {name}, got"):
+            dataclasses.replace(paper_example_problem(), **{name: value})
 
     def test_rhs_metadata_invariants(self):
         with pytest.raises(DomainError):
@@ -363,7 +370,7 @@ class TestSolveArguments:
         "tol, cap",
         [(1e-10, 0), (1e-10, -1), (-1.0, 200), (0.0, 200), (math.nan, 200), (math.inf, 200)],
     )
-    @pytest.mark.parametrize("entry", ["picard", "fixed", "ivp"])
+    @pytest.mark.parametrize("entry", ["picard", "fixed"])
     def test_rejected_before_any_sweep(self, section5, grid512, monkeypatch, entry, tol, cap):
         def no_sweep(*args, **kwargs):
             raise AssertionError("a sweep ran")
@@ -374,29 +381,38 @@ class TestSolveArguments:
             "fixed": lambda: solve_with_fixed_constant(
                 section5, grid512, z_fixed=0.5, tol=tol, cap=cap
             ),
-            "ivp": lambda: solve_ivp(
-                ORDER, math.e, 1.0, section5.rhs, grid512, tol=tol, cap=cap
-            ),
         }[entry]
         with pytest.raises(DomainError, match="cap >= 1 and a finite tol > 0"):
             solve()
 
 
-class TestSolveIvp:
+class TestInitialValueSolve:
+    """An initial-value solve is a solve with Z frozen at u0 / Gamma(gamma)."""
+
+    @staticmethod
+    def solve_iv(rhs, u0, grid):
+        problem = ProblemSpec(order=ORDER, b=math.e, c1=2.0, c2=1.0, phi=0.0, rhs=rhs)
+        return solve_with_fixed_constant(problem, grid, z_fixed=u0 / math.gamma(ORDER.gamma))
+
+    @staticmethod
+    def iv_defect(u, u0):
+        """|(I^(1-gamma) u)(1+) - u0|."""
+        return abs(math.gamma(ORDER.gamma) * u.weighted_limit - u0)
+
     def test_zero_rhs_pure_mode(self, grid512):
         rhs = affine_rhs(0.0, 0.0, 0.0, 0.0, math.e)
         u0 = 1.7
-        u, report = solve_ivp(ORDER, math.e, u0, rhs, grid512)
+        u, report = self.solve_iv(rhs, u0, grid512)
         assert report.iterations == 1
         expected = u0 / math.gamma(ORDER.gamma)
         assert np.max(np.abs(u.weighted_values - expected)) == 0.0
-        assert report.bc_defect == 0.0
+        assert self.iv_defect(u, u0) == 0.0
 
     def test_manufactured_recovery_with_critical_mode(self, grid512):
         # u* = (log t)^(gamma-1) + (log t)^2 has initial data Gamma(gamma)
         rhs = manufactured_rhs(ORDER, math.e, exponent=2.0, critical_coeff=1.0)
         u0 = math.gamma(ORDER.gamma)
-        u, report = solve_ivp(ORDER, math.e, u0, rhs, grid512)
+        u, report = self.solve_iv(rhs, u0, grid512)
         x = grid512.log_nodes
         w_exact = np.empty(grid512.n_nodes)
         w_exact[0] = 1.0
@@ -405,9 +421,9 @@ class TestSolveIvp:
         assert weighted_norm(u - exact) <= 1e-3
 
     def test_saturating_rhs_self_consistency(self, grid512):
-        u, report = solve_ivp(ORDER, math.e, 1.0, paper_example_rhs(), grid512)
+        u, report = self.solve_iv(paper_example_rhs(), 1.0, grid512)
         assert report.residual_norm <= 1e-8
-        assert report.bc_defect <= 1e-12
+        assert self.iv_defect(u, 1.0) <= 1e-12
 
 
 class TestResidual:
