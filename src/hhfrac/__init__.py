@@ -14,8 +14,6 @@ from .certificates import (
     build_certificate,
     existence_constants,
     gronwall_bound,
-    rassias_constant,
-    ulam_hyers_constant,
     uniqueness_constant,
 )
 from .errors import (
@@ -45,7 +43,6 @@ from .problems import (
 )
 from .solver import (
     apply_Q,
-    compute_Z,
     picard_solve,
     residual_fide,
     solve_with_fixed_constant,
@@ -56,7 +53,6 @@ from .stability import (
     StabilityVerdict,
     run_experiments,
     run_uh_experiment,
-    run_uhr_experiment,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +77,6 @@ __all__ = [
     "apply_Q",
     "beta",
     "build_certificate",
-    "compute_Z",
     "existence_constants",
     "gronwall_bound",
     "hadamard_derivative",
@@ -96,14 +91,11 @@ __all__ = [
     "paper_example_problem",
     "paper_example_rhs",
     "picard_solve",
-    "rassias_constant",
     "residual_fide",
     "run_experiments",
     "run_uh_experiment",
-    "run_uhr_experiment",
     "solve_with_fixed_constant",
     "table_rhs",
-    "ulam_hyers_constant",
     "uniqueness_constant",
     "weighted_norm",
 ]

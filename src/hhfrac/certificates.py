@@ -3,6 +3,9 @@
 All constants are closed-form expressions in (alpha, gamma, b, c1, c2, phi)
 and the right-hand-side metadata; they are evaluated here in double
 precision and compared against high-precision references in the tests.
+:func:`build_certificate` is the one place that assembles the Ulam
+constants C_f and C_f_phi: ``hhfrac certify`` prints its record and
+:mod:`hhfrac.stability` judges every verdict against the same fields.
 
 Two deliberate quirks are reproduced and documented rather than silently
 repaired:
@@ -138,51 +141,10 @@ def uniqueness_constant(problem: ProblemSpec) -> float:
     )
 
 
-def _b_tilde(problem: ProblemSpec) -> float:
-    """B~, a closed form independent of the phi profile."""
-    g = problem.order.gamma
-    return _c_ratio(problem) * math.log(problem.b) ** (g - 1.0) / math.gamma(g) + 1.0
+def _verify_lambda_phi(problem: ProblemSpec, phi_weight: GridFunction, lambda_phi: float):
+    """Reject a lambda_phi that fails the nodewise comparison.
 
-
-def _growth(problem: ProblemSpec) -> float:
-    """Gronwall factor E_alpha(K_f/(1-L_f) (log b)^alpha)."""
-    rhs = problem.rhs
-    if not rhs.L_f < 1.0:
-        raise DomainError("Ulam constants require L_f < 1")
-    a = problem.order.alpha
-    return mittag_leffler(a, rhs.K_f / (1.0 - rhs.L_f) * math.log(problem.b) ** a).value
-
-
-def _b_const(problem: ProblemSpec) -> float:
-    """B, the integral-inequality constant of the Ulam-Hyers estimate."""
-    o = problem.order
-    g, a = o.gamma, o.alpha
-    logb = math.log(problem.b)
-    return _c_ratio(problem) / math.gamma(g) * logb**a / math.gamma(
-        2.0 - g + a
-    ) + logb**a / math.gamma(a + 1.0)
-
-
-def ulam_hyers_constant(problem: ProblemSpec):
-    """(B, C_f): the integral-inequality constant and the Ulam-Hyers constant.
-
-    C_f = B E_alpha(K_f/(1-L_f) (log b)^alpha), the Gronwall closure of the
-    perturbation bound evaluated at the right endpoint.
-    """
-    b_const = _b_const(problem)
-    return b_const, b_const * _growth(problem)
-
-
-def _verified_rassias_factor(
-    problem: ProblemSpec,
-    phi_weight: GridFunction,
-    lambda_phi: float,
-    stacklevel: int,
-) -> float:
-    """B~ lambda_phi^2 once lambda_phi passes the nodewise comparison.
-
-    ``stacklevel`` attributes the monotonicity warning to the public
-    function's caller.
+    The monotonicity warning names the caller of :func:`build_certificate`.
     """
     if not lambda_phi > 0.0:
         raise CertificateRejected("lambda_phi must be positive")
@@ -192,7 +154,7 @@ def _verified_rassias_factor(
     if np.any(np.diff(phi_raw) < -_LAMBDA_PHI_TOL):
         warnings.warn(
             "phi profile is not increasing on the grid; proceeding anyway",
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
     integral_raw = hadamard_integral(phi_weight, problem.order.alpha).raw_tail()
     excess = integral_raw - lambda_phi * phi_raw
@@ -204,21 +166,6 @@ def _verified_rassias_factor(
             f"(first node indices {nodes}, worst excess {float(np.max(excess)):.3e})",
             violations=nodes,
         )
-    # the displayed product carries lambda_phi twice
-    return _b_tilde(problem) * lambda_phi**2
-
-
-def rassias_constant(problem: ProblemSpec, phi_weight: GridFunction, lambda_phi: float):
-    """(B_tilde, C_f_phi) after machine-verifying the comparison constant.
-
-    The caller supplies lambda_phi; it is accepted only if
-    (I^alpha phi)(t_i) <= lambda_phi phi(t_i) + 1e-9 at every node i >= 1.
-    The profile must be positive there; a non-monotone profile is allowed
-    (the canonical (log t)^(gamma-1) profile is decreasing) but triggers a
-    warning since the classical statement assumes an increasing one.
-    """
-    factor = _verified_rassias_factor(problem, phi_weight, lambda_phi, stacklevel=3)
-    return _b_tilde(problem), factor * _growth(problem)
 
 
 def gronwall_bound(
@@ -261,20 +208,38 @@ def build_certificate(
     phi_weight: Optional[GridFunction] = None,
     lambda_phi: Optional[float] = None,
 ) -> Certificate:
-    """Assemble every constant for one problem (Rassias parts optional)."""
+    """Assemble every constant for one problem (Rassias parts optional).
+
+    C_f = B E_alpha(K_f/(1-L_f) (log b)^alpha), the Gronwall closure at the
+    right endpoint, and C_f_phi = B~ lambda_phi^2 times the same factor.
+    lambda_phi is accepted only if (I^alpha phi)(t_i) <= lambda_phi phi(t_i)
+    + 1e-9 at every node i >= 1 of a profile positive there; a non-monotone
+    profile (the canonical (log t)^(gamma-1) one is decreasing) passes with
+    a warning naming the caller, since the classical statement assumes an
+    increasing one.
+    """
     omega, omega_pa, lam, radius = existence_constants(problem)
     a_const = uniqueness_constant(problem)
+    rhs, o = problem.rhs, problem.order
+    g, a = o.gamma, o.alpha
+    logb = math.log(problem.b)
+    cr = _c_ratio(problem)
     # one growth series serves both C_f and C_f_phi
-    growth = _growth(problem)
-    b_const = _b_const(problem)
+    growth = mittag_leffler(a, rhs.K_f / (1.0 - rhs.L_f) * logb**a).value
+    # B, the integral-inequality constant of the Ulam-Hyers estimate
+    b_const = (
+        cr / math.gamma(g) * logb**a / math.gamma(2.0 - g + a)
+        + logb**a / math.gamma(a + 1.0)
+    )
     c_f = b_const * growth
-    b_tilde, c_f_phi = _b_tilde(problem), None
+    # B~, independent of the phi profile
+    b_tilde, c_f_phi = cr * logb ** (g - 1.0) / math.gamma(g) + 1.0, None
     if lambda_phi is not None:
         if phi_weight is None:
             raise DomainError("lambda_phi requires a phi profile to verify against")
-        c_f_phi = _verified_rassias_factor(
-            problem, phi_weight, lambda_phi, stacklevel=2
-        ) * growth
+        _verify_lambda_phi(problem, phi_weight, lambda_phi)
+        # the displayed product carries lambda_phi twice
+        c_f_phi = b_tilde * lambda_phi**2 * growth
     return Certificate(
         omega=omega,
         omega_paper_variant=omega_pa,

@@ -90,15 +90,19 @@ def _report_lines(report) -> str:
     )
 
 
-def cmd_solve(config: RunConfig, out: Optional[str]) -> int:
+def _solve_record(config: RunConfig, out: Optional[str]) -> str:
+    """The solve's report, after writing its CSV to ``out``: a failing
+    ``--out`` leaves stdout empty."""
     grid = config.grid()
     problem = config.problem(grid)
     u, report = picard_solve(problem, grid, tol=config.tol, cap=config.cap)
-    # the file first, so that a failing --out leaves stdout empty
     if out is not None:
         _write(out, _solution_csv(u, report.F_u))
-    sys.stdout.write(_report_lines(report))
-    sys.stdout.write(f"fide_residual = {residual_fide(u, problem)!r}\n")
+    return _report_lines(report) + f"fide_residual = {residual_fide(u, problem)!r}\n"
+
+
+def cmd_solve(config: RunConfig, out: Optional[str]) -> int:
+    sys.stdout.write(_solve_record(config, out))
     return 0
 
 
@@ -159,11 +163,12 @@ def cmd_verify(level: str) -> int:
 
 
 def cmd_example(config: RunConfig, out: Optional[str]) -> int:
+    solved = _solve_record(config, out)
     rhs = paper_example_rhs()
     for name in ("K_f", "L_f", "delta_star", "sigma_star", "rho_star"):
         print(f"{name} = {getattr(rhs, name)!r}")
     certified = cmd_certify(config, None) == 0
-    cmd_solve(config, out)
+    sys.stdout.write(solved)
     stable = cmd_stability(config, None) == 0
     return 0 if certified and stable else 1
 

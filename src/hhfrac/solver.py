@@ -13,7 +13,9 @@ runs every solve; ``picard_solve`` fixes Z by the boundary data and
 ``solve_with_fixed_constant`` freezes it, for perturbed re-solves and for
 initial-value solves ``(I^(1-gamma) u)(1+) = u0`` with ``z_fixed = u0 /
 Gamma(gamma)``.  Each returns ``(u, report)``; the report carries F_u at
-the returned iterate and the boundary defect.
+the returned iterate and the boundary defect.  The solves, ``apply_Q``
+and ``residual_fide`` raise ``GridMismatchError`` for a grid whose b is
+not the problem's.
 
 The sweeps run on weighted numpy arrays.  ``x^(gamma-1)``,
 ``x^(1-gamma)`` and the quadrature plans of the orders alpha and
@@ -36,14 +38,14 @@ import numpy as np
 
 from .certificates import uniqueness_constant
 from .errors import ConvergenceError, DomainError, GridMismatchError
-from .grids import GridFunction, LogGrid, Order, log_power
+from .grids import GridFunction, LogGrid, log_power
 from .hadamard import (
     hilfer_hadamard_derivative,
     integral_value_at_b,
     quadrature_plan,
     split_leading_mode,
 )
-from .problems import ProblemSpec, RhsSpec, SolveReport
+from .problems import ProblemSpec, SolveReport
 
 DEFAULT_TOL = 1e-10
 DEFAULT_CAP = 200
@@ -57,16 +59,24 @@ class _Sweep:
     Holds ``x^(gamma-1)``, ``x^(1-gamma)``, the raw shift and the two
     quadrature plans.  :meth:`apply` splits F_u once and shares that split
     between the boundary value ``(I^nu F_u)(b)``, nu = 1 - gamma + alpha,
-    and the integral ``I^alpha F_u``.
+    and the integral ``I^alpha F_u``.  Every entry point builds one, so it
+    rejects a grid on another interval and a shift on another grid.
     """
 
     def __init__(
-        self, rhs: RhsSpec, order: Order, grid: LogGrid,
+        self, problem: ProblemSpec, grid: LogGrid,
         shift: Optional[GridFunction] = None,
     ):
+        if grid.b != problem.b:
+            raise GridMismatchError(
+                f"grid on [1, {grid.b!r}] for a problem posed on [1, {problem.b!r}]"
+            )
+        if shift is not None and shift.grid != grid:
+            raise GridMismatchError("perturbation must live on the solve grid")
+        order = problem.order
         g = order.gamma
         x = grid.log_nodes[1:]
-        self.rhs, self.gamma, self.grid, self.x = rhs, g, grid, x
+        self.rhs, self.gamma, self.grid, self.x = problem.rhs, g, grid, x
         self.to_raw = x ** (g - 1.0)
         self.to_weighted = x ** (1.0 - g)
         self.shift_raw = shift.raw_tail() if shift is not None else 0.0
@@ -96,12 +106,11 @@ class _Sweep:
 
 
 def _implicit_rhs_grid(
-    rhs: RhsSpec, order: Order, grid: LogGrid, u: GridFunction,
-    shift: Optional[GridFunction] = None,
+    problem: ProblemSpec, u: GridFunction, shift: Optional[GridFunction] = None,
 ) -> GridFunction:
-    """F_u on the grid, in weight class gamma."""
-    values = _Sweep(rhs, order, grid, shift).rhs_values(u.weighted_limit, u.raw_tail())
-    return GridFunction(grid, order.gamma, values)
+    """F_u on u's grid, in weight class gamma."""
+    values = _Sweep(problem, u.grid, shift).rhs_values(u.weighted_limit, u.raw_tail())
+    return GridFunction(u.grid, problem.order.gamma, values)
 
 
 def _z_rule(problem: ProblemSpec) -> Callable[[float], float]:
@@ -111,16 +120,9 @@ def _z_rule(problem: ProblemSpec) -> Callable[[float], float]:
     return lambda tail: (problem.phi / csum - problem.c2 / csum * tail) / gamma_g
 
 
-def compute_Z(u: GridFunction, problem: ProblemSpec) -> float:
-    """Boundary-determined constant part for the candidate u (F_u solved first)."""
-    order = problem.order
-    f_grid = _implicit_rhs_grid(problem.rhs, order, u.grid, u)
-    return _z_rule(problem)(integral_value_at_b(f_grid, 1.0 - order.gamma + order.alpha))
-
-
 def apply_Q(u: GridFunction, problem: ProblemSpec) -> GridFunction:
     """One application of the fixed-point operator of the mixed-type equation."""
-    sweep = _Sweep(problem.rhs, problem.order, u.grid)
+    sweep = _Sweep(problem, u.grid)
     f_values = sweep.rhs_values(u.weighted_limit, u.raw_tail())
     return GridFunction(u.grid, problem.order.gamma, sweep.apply(f_values, _z_rule(problem)))
 
@@ -177,7 +179,7 @@ def _solve(
         )
     gamma = problem.order.gamma
     u = GridFunction(grid, gamma, np.full(grid.n_nodes, z_start)).weighted_values
-    sweep = _Sweep(problem.rhs, problem.order, grid, shift)
+    sweep = _Sweep(problem, grid, shift)
 
     def step(u):
         """(F_u, Q u, sup |Q u - u|) on weighted arrays."""
@@ -245,8 +247,6 @@ def solve_with_fixed_constant(
     additive perturbation h(t) of the right-hand side, as a grid function
     in the solution's weight class; the report's ``F_u`` then includes it.
     """
-    if shift is not None and (shift.grid.b, shift.grid.n_panels) != (grid.b, grid.n_panels):
-        raise GridMismatchError("perturbation must live on the solve grid")
     return _solve(problem, grid, lambda tail: z_fixed, z_fixed, shift, tol, cap)
 
 
@@ -262,7 +262,7 @@ def residual_fide(u: GridFunction, problem: ProblemSpec) -> float:
     grid = u.grid
     order = problem.order
     d = hilfer_hadamard_derivative(u, order)
-    f_grid = _implicit_rhs_grid(problem.rhs, order, grid, u)
+    f_grid = _implicit_rhs_grid(problem, u)
     lo = max(2, grid.n_panels // 64) + 1
     hi = grid.n_panels - 2
     if lo > hi:

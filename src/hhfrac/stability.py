@@ -4,11 +4,13 @@ An experiment compares the solution u of the problem as given with the
 solution of the problem whose right-hand side is shifted by a constructed
 perturbation h, and checks the observed deviation against the certified
 bound (C_f epsilon for Ulam-Hyers, C_f_phi epsilon phi(t) nodewise for the
-Rassias variant).  u does not depend on h, so :func:`run_experiments`
-runs a whole list of perturbations against one unperturbed solve, after
-every constant, contraction and admissibility check has passed;
-:func:`run_uh_experiment` and :func:`run_uhr_experiment` are its
-one-perturbation cases.
+Rassias variant).  C_f, C_f_phi and the contraction modulus A are read
+from :func:`~hhfrac.certificates.build_certificate`, the record that
+``hhfrac certify`` prints.  u does not depend on h, so
+:func:`run_experiments` runs a whole list of perturbations against one
+unperturbed solve, after every certificate, contraction and admissibility
+check has passed; :func:`run_uh_experiment` is its one-perturbation
+Ulam-Hyers case.
 
 The perturbed solution is *defined* as the solution of the h-shifted
 equation whose (log t)^(gamma-1) coefficient is frozen at the unperturbed
@@ -31,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import rassias_constant, ulam_hyers_constant, uniqueness_constant
+from .certificates import build_certificate
 from .errors import DomainError, GridMismatchError
 from .grids import GridFunction, LogGrid
 from .problems import ProblemSpec
@@ -150,28 +152,28 @@ def run_experiments(
     """One verdict per perturbation, all against a single unperturbed solve.
 
     Ulam-Hyers mode when ``lambda_phi`` is None, Rassias mode otherwise.
-    Every check runs before any solve: the constant (C_f, or C_f_phi once
-    per distinct phi profile after lambda_phi is machine-verified), the
-    contraction A < 1, and that each realized perturbation lives on
+    Every check runs before any solve: the certificate (one, or one per
+    distinct phi profile once lambda_phi is machine-verified against it),
+    the contraction A < 1, and that each realized perturbation lives on
     ``grid`` and is admissible.  The perturbed solutions share the
     unperturbed weighted limit at 1+.
     """
     perturbations = list(perturbations)
     rassias = lambda_phi is not None
-    if rassias:
-        c_f_phi = {}  # id(phi profile) -> C_f_phi
-        for p in perturbations:
-            if p.phi_profile is None:
-                raise DomainError(
-                    "Rassias experiments need a perturbation with a phi profile"
-                )
-            if id(p.phi_profile) not in c_f_phi:
-                c_f_phi[id(p.phi_profile)] = rassias_constant(
-                    problem, p.phi_profile, lambda_phi
-                )[1]
-    else:
-        _, c_f = ulam_hyers_constant(problem)
-    a_const = uniqueness_constant(problem)
+    certificates = {}  # id(phi profile) -> its Rassias certificate
+    for p in perturbations if rassias else ():
+        if p.phi_profile is None:
+            raise DomainError(
+                "Rassias experiments need a perturbation with a phi profile"
+            )
+        if id(p.phi_profile) not in certificates:
+            certificates[id(p.phi_profile)] = build_certificate(
+                problem, p.phi_profile, lambda_phi
+            )
+    if not certificates:
+        # Ulam-Hyers mode, or no profile to verify lambda_phi against
+        certificates[None] = build_certificate(problem)
+    a_const = next(iter(certificates.values())).a_const
     if a_const >= 1.0:
         raise DomainError(
             f"stability experiments require a contraction (A = {a_const:.4f} >= 1)"
@@ -193,11 +195,12 @@ def run_experiments(
         deviation = np.abs(u_tilde.raw_tail() - u_raw)
         wdev = abs(u_tilde.weighted_limit - u.weighted_limit)
         if rassias:
-            constant = c_f_phi[id(p.phi_profile)]
+            constant = certificates[id(p.phi_profile)].c_f_phi
             bounds = constant * p.epsilon * p.phi_profile.raw_tail()
             modes = (MODE_UHR, MODE_GENERALIZED_UHR)
         else:
-            constant, bounds = c_f, c_f * p.epsilon
+            constant = certificates[None].c_f
+            bounds = constant * p.epsilon
             modes = (MODE_UH, MODE_GENERALIZED_UH)
         verdicts.append(_verdict(modes, p.epsilon, deviation, bounds, constant, tol, wdev))
     return verdicts
@@ -209,20 +212,6 @@ def run_uh_experiment(
 ) -> StabilityVerdict:
     """Ulam-Hyers experiment: sup |u_tilde - u| against C_f epsilon."""
     return run_experiments(problem, [perturbation], grid, tol=tol, cap=cap)[0]
-
-
-def run_uhr_experiment(
-    problem: ProblemSpec, perturbation: PerturbationSpec, lambda_phi: float,
-    grid: LogGrid,
-    tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
-) -> StabilityVerdict:
-    """Ulam-Hyers-Rassias experiment with nodewise bound C_f_phi epsilon phi(t).
-
-    The caller-supplied lambda_phi is machine-verified first; a failing
-    certificate aborts the experiment.  The verdict aggregates the worst
-    node margin and reports the bound at that node.
-    """
-    return run_experiments(problem, [perturbation], grid, lambda_phi, tol, cap)[0]
 
 
 def verdicts_to_csv(verdicts) -> str:

@@ -12,9 +12,8 @@ import pytest
 
 import reference_values as ref
 from hhfrac.certificates import (
+    build_certificate,
     existence_constants,
-    rassias_constant,
-    ulam_hyers_constant,
     uniqueness_constant,
 )
 from hhfrac.grids import GridFunction, LogGrid, Order, log_power, weighted_norm
@@ -26,7 +25,7 @@ from hhfrac.hadamard import (
 from hhfrac.problems import manufactured_problem, manufactured_solution
 from hhfrac.solver import apply_Q, picard_solve
 from hhfrac.specfun import mittag_leffler
-from hhfrac.stability import PerturbationSpec, run_uh_experiment, run_uhr_experiment
+from hhfrac.stability import PerturbationSpec, run_experiments, run_uh_experiment
 
 G = math.gamma
 
@@ -196,7 +195,8 @@ def test_criterion_6_contraction_property(section5, grid512):
 
 
 def test_criterion_7_ulam_hyers(section5, grid512):
-    b_const, c_f = ulam_hyers_constant(section5)
+    cert = build_certificate(section5)
+    b_const, c_f = cert.b_const, cert.c_f
     expected_cf = b_const * mittag_leffler(
         1.0 / 3.0, 0.5 * math.log(math.e) ** (1.0 / 3.0)
     ).value
@@ -223,13 +223,13 @@ def test_criterion_8_ulam_hyers_rassias(section5, grid512):
     phi = log_power(grid512, g, g - 1.0)
     lam_phi = G(g) / G(g + a) * math.log(section5.b) ** a
     with pytest.warns(UserWarning, match="not increasing"):
-        _, c_f_phi = rassias_constant(section5, phi, lam_phi)
-        verdict = run_uhr_experiment(
+        c_f_phi = build_certificate(section5, phi, lam_phi).c_f_phi
+        verdict = run_experiments(
             section5,
-            PerturbationSpec("log-power", 1e-3, phi_profile=phi),
-            lam_phi,
+            [PerturbationSpec("log-power", 1e-3, phi_profile=phi)],
             grid512,
-        )
+            lam_phi,
+        )[0]
     passed = verdict.passed and verdict.margin >= 0.0
     report(
         8, passed,

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_values as ref
+import hhfrac.stability as stability_mod
 from hhfrac.certificates import (
     build_certificate,
     existence_constants,
     gronwall_bound,
-    rassias_constant,
-    ulam_hyers_constant,
     uniqueness_constant,
 )
 from hhfrac.config import load_config
@@ -19,6 +18,7 @@ from hhfrac.errors import CertificateRejected, ConvergenceError, DomainError, ML
 from hhfrac.grids import LogGrid, Order, log_power
 from hhfrac.problems import ProblemSpec, RhsSpec
 from hhfrac.specfun import mittag_leffler
+from hhfrac.stability import PerturbationSpec, run_experiments
 
 ORDER = Order(1.0 / 3.0, 2.0 / 3.0)
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,16 +52,16 @@ class TestAgainstReferenceValues:
         )
 
     def test_ulam_hyers_constant(self, section5):
-        b_const, c_f = ulam_hyers_constant(section5)
+        cert = build_certificate(section5)
+        b_const, c_f = cert.b_const, cert.c_f
         assert b_const == pytest.approx(ref.B_CONST, rel=1e-10)
         assert c_f == pytest.approx(ref.C_F, rel=1e-10)
 
     def test_rassias_constant(self, section5, grid512):
         phi = log_power(grid512, ORDER.gamma, ORDER.gamma - 1.0)
         with pytest.warns(UserWarning, match="not increasing"):
-            b_tilde, c_f_phi = rassias_constant(
-                section5, phi, ref.LAMBDA_PHI_CRITICAL
-            )
+            cert = build_certificate(section5, phi, ref.LAMBDA_PHI_CRITICAL)
+        b_tilde, c_f_phi = cert.b_tilde, cert.c_f_phi
         assert b_tilde == pytest.approx(ref.B_TILDE, rel=1e-10)
         assert c_f_phi == pytest.approx(ref.C_F_PHI, rel=1e-10)
 
@@ -81,7 +81,8 @@ class TestStructure:
         assert lam == pytest.approx(
             abs(problem.phi / 3.0) / math.gamma(ORDER.gamma), rel=1e-3
         )
-        b_const, c_f = ulam_hyers_constant(problem)
+        cert = build_certificate(problem)
+        b_const, c_f = cert.b_const, cert.c_f
         assert b_const == pytest.approx(0.0, abs=1e-3)
         assert c_f == pytest.approx(0.0, abs=1e-3)
 
@@ -92,7 +93,8 @@ class TestStructure:
         assert uniqueness_constant(problem_with(K=0.0)) == 0.0
 
     def test_no_lipschitz_in_v_means_cf_equals_b(self):
-        b_const, c_f = ulam_hyers_constant(problem_with(K=0.0))
+        cert = build_certificate(problem_with(K=0.0))
+        b_const, c_f = cert.b_const, cert.c_f
         assert c_f == b_const
 
     def test_monotone_in_interval_length(self):
@@ -103,8 +105,8 @@ class TestStructure:
         for b in bs:
             problem = problem_with(b=b)
             omega, _, lam, _ = existence_constants(problem)
-            b_const, c_f = ulam_hyers_constant(problem)
             cert = build_certificate(problem)
+            b_const, c_f = cert.b_const, cert.c_f
             rows.append((omega, lam, uniqueness_constant(problem), b_const, c_f,
                          cert.b_tilde))
         for i in range(5):
@@ -231,7 +233,8 @@ class TestRassiasVerification:
         phi = log_power(grid512, g, g - 1.0)
         lam = math.gamma(g) / math.gamma(g + a) * math.log(section5.b) ** a
         with pytest.warns(UserWarning):
-            b_tilde, c_f_phi = rassias_constant(section5, phi, lam)
+            cert = build_certificate(section5, phi, lam)
+        b_tilde, c_f_phi = cert.b_tilde, cert.c_f_phi
         assert c_f_phi == pytest.approx(
             b_tilde * lam**2
             * mittag_leffler(a, 0.5 * math.log(section5.b) ** a).value,
@@ -242,20 +245,21 @@ class TestRassiasVerification:
         a = ORDER.alpha
         phi = log_power(grid512, ORDER.gamma, 0.0)
         lam = math.log(section5.b) ** a / math.gamma(a + 1.0)
-        b_tilde, c_f_phi = rassias_constant(section5, phi, lam)
+        cert = build_certificate(section5, phi, lam)
+        b_tilde, c_f_phi = cert.b_tilde, cert.c_f_phi
         assert c_f_phi > 0.0
 
     def test_zero_lambda_rejected(self, section5, grid512):
         phi = log_power(grid512, ORDER.gamma, 0.0)
         with pytest.raises(CertificateRejected):
-            rassias_constant(section5, phi, 0.0)
+            build_certificate(section5, phi, 0.0)
 
     def test_insufficient_lambda_rejected(self, section5, grid512):
         a = ORDER.alpha
         phi = log_power(grid512, ORDER.gamma, 0.0)
         lam = 0.5 * math.log(section5.b) ** a / math.gamma(a + 1.0)
         with pytest.raises(CertificateRejected) as err:
-            rassias_constant(section5, phi, lam)
+            build_certificate(section5, phi, lam)
         assert err.value.violations
 
 
@@ -296,19 +300,18 @@ class TestCertificateRecord:
         with pytest.warns(UserWarning):
             cert = build_certificate(problem, phi_weight=phi, lambda_phi=config.lambda_phi)
         assert len(calls) == 1
-        # the shared factor gives the standalone constants bit for bit
-        with pytest.warns(UserWarning):
-            _, c_f_phi = rassias_constant(problem, phi, config.lambda_phi)
-        assert (cert.c_f, cert.c_f_phi) == (ulam_hyers_constant(problem)[1], c_f_phi)
 
     def test_monotonicity_warning_names_the_caller(self, section5, grid512):
         phi = log_power(grid512, ORDER.gamma, ORDER.gamma - 1.0)
         with pytest.warns(UserWarning) as record:
-            rassias_constant(section5, phi, ref.LAMBDA_PHI_CRITICAL)
-        assert record[0].filename == __file__
-        with pytest.warns(UserWarning) as record:
             build_certificate(section5, phi_weight=phi, lambda_phi=ref.LAMBDA_PHI_CRITICAL)
-        assert Path(record[0].filename).name == "certificates.py"
+        assert record[0].filename == __file__
+        # run_experiments builds the certificate, so the warning names its
+        # call of build_certificate, as in `hhfrac stability`'s stderr
+        spec = PerturbationSpec("log-power", 1e-3, phi_profile=phi)
+        with pytest.warns(UserWarning) as record:
+            run_experiments(section5, [spec], grid512, ref.LAMBDA_PHI_CRITICAL)
+        assert record[0].filename == stability_mod.__file__
 
     def test_ball_radius_only_with_existence(self):
         cert = build_certificate(problem_with(sigma=3.5))

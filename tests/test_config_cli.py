@@ -243,13 +243,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {cfg}:9: unknown key {key!r}"]
 
-    @pytest.mark.parametrize("command", ["certify", "stability"])
-    def test_gronwall_overflow_is_one_error_line(self, tmp_path, capsys, command):
+    # a lambda_phi that fails its nodewise check does not hide the overflow:
+    # certify and stability build the same certificate
+    REJECTED_LAMBDA_PHI = (
+        "stability.mode = uhr\nstability.phi = one\nstability.lambda_phi = 0.01\n"
+    )
+
+    @pytest.mark.parametrize("command, rassias", [
+        pytest.param("certify", "", id="certify"),
+        pytest.param("stability", "", id="stability"),
+        pytest.param("certify", REJECTED_LAMBDA_PHI, id="certify-rejected-lambda-phi"),
+        pytest.param("stability", REJECTED_LAMBDA_PHI, id="stability-rejected-lambda-phi"),
+    ])
+    def test_gronwall_overflow_is_one_error_line(self, tmp_path, capsys, command, rassias):
         # E_alpha(K_f/(1-L_f) (log b)^alpha) overflows for K_f/(1-L_f) = 6, b = 400
         cfg = tmp_path / "overflow.cfg"
         cfg.write_text(
             "alpha = 1/3\nbeta = 0\nb = 400\nc1 = 1\nc2 = 1\nphi = 1\n"
-            "rhs = affine-in-uv\nrhs.a = 3\nrhs.c = 0.5\n"
+            "rhs = affine-in-uv\nrhs.a = 3\nrhs.c = 0.5\n" + rassias
         )
         assert main([command, "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
@@ -450,13 +461,15 @@ class TestCli:
             assert line == "error: " + expected
 
     @pytest.mark.parametrize("target", ["directory", "under-a-file"])
-    @pytest.mark.parametrize("command", ["solve", "certify", "stability"])
+    @pytest.mark.parametrize("command", ["solve", "certify", "stability", "example"])
     def test_unwritable_out_is_one_error_line(self, tmp_path, capsys, command, target):
         cfg = tmp_path / "s5.cfg"
         cfg.write_text(SECTION5_CFG.replace("stability.epsilon = 1e-2,1e-3", "panels = 16"))
         (tmp_path / "plain").write_text("")
         out = {"directory": tmp_path, "under-a-file": tmp_path / "plain" / "out.csv"}[target]
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        # example has a built-in configuration
+        args = ["--panels", "16"] if command == "example" else ["--config", str(cfg)]
+        assert main([command, *args, "--out", str(out)]) == 2
         self.assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("command", ["solve", "certify", "stability"])

@@ -6,7 +6,7 @@ import pytest
 
 import reference_values as ref
 from hhfrac.certificates import uniqueness_constant
-from hhfrac.errors import ConvergenceError, DomainError
+from hhfrac.errors import ConvergenceError, DomainError, GridMismatchError
 from hhfrac.grids import GridFunction, LogGrid, Order, log_power, weighted_norm
 from hhfrac.problems import (
     ProblemSpec,
@@ -21,7 +21,6 @@ from hhfrac.problems import (
 from hhfrac.solver import (
     _implicit_rhs_grid,
     apply_Q,
-    compute_Z,
     picard_solve,
     residual_fide,
     solve_with_fixed_constant,
@@ -31,10 +30,12 @@ ORDER = Order(1.0 / 3.0, 2.0 / 3.0)
 
 
 def zero_problem(phi=1.0):
-    return ProblemSpec(
-        order=ORDER, b=math.e, c1=2.0, c2=1.0, phi=phi,
-        rhs=affine_rhs(0.0, 0.0, 0.0, 0.0, math.e),
-    )
+    return posed(affine_rhs(0.0, 0.0, 0.0, 0.0, math.e), phi)
+
+
+def posed(rhs, phi=1.0):
+    """The boundary-value problem on [1, e] with right-hand side ``rhs``."""
+    return ProblemSpec(order=ORDER, b=math.e, c1=2.0, c2=1.0, phi=phi, rhs=rhs)
 
 
 class TestProblemSpec:
@@ -134,14 +135,14 @@ class TestInnerSolve:
     def test_v_independent_returns_direct_value(self):
         rhs = manufactured_rhs(ORDER, math.e, exponent=2.0)
         grid = LogGrid(math.e, 16)
-        f_grid = _implicit_rhs_grid(rhs, ORDER, grid, constant_raw(grid, 0.0))
+        f_grid = _implicit_rhs_grid(posed(rhs), constant_raw(grid, 0.0))
         expected = rhs.evaluate(grid.nodes[1:], 0.0, 0.0)
         np.testing.assert_allclose(f_grid.raw_tail(), expected, rtol=1e-14, atol=0.0)
 
     def test_affine_closed_form(self):
         rhs = affine_rhs(g0=0.4, g1=0.2, a=0.0, c=0.5, b=math.e)
         grid = LogGrid(math.e, 16)
-        f_grid = _implicit_rhs_grid(rhs, ORDER, grid, constant_raw(grid, 7.0))
+        f_grid = _implicit_rhs_grid(posed(rhs), constant_raw(grid, 7.0))
         expected = (0.4 + 0.2 * grid.log_nodes[1:]) / (1.0 - 0.5)
         np.testing.assert_allclose(f_grid.raw_tail(), expected, rtol=1e-14, atol=0.0)
 
@@ -149,7 +150,7 @@ class TestInnerSolve:
         # the last node is t = e exactly, where log t = 1
         rhs = paper_example_rhs()
         grid = LogGrid(math.e, 16)
-        f_grid = _implicit_rhs_grid(rhs, ORDER, grid, constant_raw(grid, 1.0))
+        f_grid = _implicit_rhs_grid(posed(rhs), constant_raw(grid, 1.0))
         assert f_grid.raw_tail()[-1] == pytest.approx(ref.INNER_FIXED_POINT_AT_E, abs=1e-12)
 
     def test_closed_form_against_bisection(self):
@@ -193,12 +194,14 @@ class TestInnerSolve:
         np.testing.assert_allclose(closed, z, rtol=0.0, atol=1e-12)
 
 
-class TestComputeZ:
+class TestBoundaryConstant:
+    """Z_u is the weighted limit of Q u: the integral part vanishes at 1+."""
+
     def test_zero_rhs(self, grid512):
         problem = zero_problem(phi=1.0)
         u = log_power(grid512, ORDER.gamma, ORDER.gamma - 1.0)
         expected = 1.0 / ((problem.c1 + problem.c2) * math.gamma(ORDER.gamma))
-        assert compute_Z(u, problem) == pytest.approx(expected, rel=1e-14)
+        assert apply_Q(u, problem).weighted_limit == pytest.approx(expected, rel=1e-14)
 
     def test_against_adaptive_quadrature_oracle(self, section5, grid512):
         # first Picard iterate; the oracle resolves the implicit value by
@@ -229,7 +232,7 @@ class TestComputeZ:
         ) / math.gamma(g)
 
         u1 = GridFunction(grid512, g, np.full(grid512.n_nodes, z0))
-        assert compute_Z(u1, section5) == pytest.approx(oracle, abs=1e-5)
+        assert apply_Q(u1, section5).weighted_limit == pytest.approx(oracle, abs=1e-5)
 
 
 class TestApplyQ:
@@ -333,15 +336,15 @@ class TestPicardSolve:
         for _ in range(5):
             u = GridFunction(grid512, ORDER.gamma, rng.uniform(-1, 1, grid512.n_nodes))
             v = GridFunction(grid512, ORDER.gamma, rng.uniform(-1, 1, grid512.n_nodes))
-            fu = _implicit_rhs_grid(rhs, ORDER, grid512, u)
-            fv = _implicit_rhs_grid(rhs, ORDER, grid512, v)
+            fu = _implicit_rhs_grid(section5, u)
+            fv = _implicit_rhs_grid(section5, v)
             gap = np.abs(fu.raw_tail() - fv.raw_tail())
             assert np.all(gap <= factor * np.abs(u.raw_tail() - v.raw_tail()) + 1e-10)
 
     def test_report_carries_rhs_at_solution(self, section5, grid512, section5_solution):
         # bitwise what a fresh inner solve at the returned iterate gives
         u, report = section5_solution
-        f_grid = _implicit_rhs_grid(section5.rhs, ORDER, grid512, u)
+        f_grid = _implicit_rhs_grid(section5, u)
         np.testing.assert_array_equal(report.F_u.weighted_values, f_grid.weighted_values)
 
     def test_perturbed_report_includes_shift(self, section5, grid512, section5_solution):
@@ -350,7 +353,7 @@ class TestPicardSolve:
         u_tilde, report = solve_with_fixed_constant(
             section5, grid512, z_fixed=u.weighted_limit, shift=h
         )
-        f_grid = _implicit_rhs_grid(section5.rhs, ORDER, grid512, u_tilde, shift=h)
+        f_grid = _implicit_rhs_grid(section5, u_tilde, shift=h)
         np.testing.assert_array_equal(report.F_u.weighted_values, f_grid.weighted_values)
 
     def test_noncontractive_inputs_warn(self, grid512):
@@ -361,6 +364,28 @@ class TestPicardSolve:
         with pytest.warns(UserWarning, match="contraction"):
             with pytest.raises(ConvergenceError):
                 picard_solve(problem, grid512, cap=30)
+
+
+class TestGridMismatch:
+    """A grid on another interval than the problem's is rejected, not solved on."""
+
+    @pytest.mark.parametrize("entry", ["picard", "fixed", "apply_Q", "residual"])
+    def test_grid_on_another_interval_rejected(self, section5, entry):
+        grid = LogGrid(2.0, 64)
+        u = log_power(grid, ORDER.gamma, 0.0)
+        call = {
+            "picard": lambda: picard_solve(section5, grid),
+            "fixed": lambda: solve_with_fixed_constant(section5, grid, z_fixed=0.5),
+            "apply_Q": lambda: apply_Q(u, section5),
+            "residual": lambda: residual_fide(u, section5),
+        }[entry]
+        with pytest.raises(GridMismatchError, match="posed on"):
+            call()
+
+    def test_shift_on_another_grid_rejected(self, section5, grid512):
+        shift = log_power(LogGrid(math.e, 256), ORDER.gamma, 0.0, coeff=1e-3)
+        with pytest.raises(GridMismatchError, match="perturbation must live on the solve grid"):
+            solve_with_fixed_constant(section5, grid512, z_fixed=0.5, shift=shift)
 
 
 class TestSolveArguments:

@@ -7,7 +7,8 @@ import pytest
 
 import reference_values as ref
 import hhfrac.stability as stability_mod
-from hhfrac.certificates import gronwall_bound, ulam_hyers_constant
+from hhfrac.certificates import build_certificate, gronwall_bound
+from hhfrac.config import load_config
 from hhfrac.errors import CertificateRejected, DomainError, GridMismatchError
 from hhfrac.grids import GridFunction, LogGrid, Order, log_power
 from hhfrac.problems import ProblemSpec, affine_rhs, manufactured_problem
@@ -20,7 +21,6 @@ from hhfrac.stability import (
     PerturbationSpec,
     run_experiments,
     run_uh_experiment,
-    run_uhr_experiment,
     verdicts_to_csv,
 )
 
@@ -117,7 +117,7 @@ class TestUlamHyers:
         problem = manufactured_problem(ORDER, math.e, 2.0, 1.0)
         eps = 1e-3
         verdict = run_uh_experiment(problem, PerturbationSpec("constant", eps), grid512)
-        b_const, _ = ulam_hyers_constant(problem)
+        b_const = build_certificate(problem).b_const
         x = grid512.log_nodes
         closed_form = eps * x[-1] ** ORDER.alpha / math.gamma(ORDER.alpha + 1.0)
         assert verdict.observed_deviation == pytest.approx(closed_form, rel=1e-6)
@@ -135,14 +135,14 @@ class TestUlamHyers:
         u_tilde, _ = solve_with_fixed_constant(
             section5, grid512, z_fixed=u.weighted_limit, shift=h
         )
-        f_tilde = _implicit_rhs_grid(section5.rhs, ORDER, grid512, u_tilde)
+        f_tilde = _implicit_rhs_grid(section5, u_tilde)
         reconstructed = hadamard_integral(f_tilde, ORDER.alpha)
         defect = (
             u_tilde.raw_tail()
             - u.weighted_limit * grid512.log_nodes[1:] ** (ORDER.gamma - 1.0)
             - reconstructed.raw_tail()
         )
-        b_const, _ = ulam_hyers_constant(section5)
+        b_const = build_certificate(section5).b_const
         assert np.max(np.abs(defect)) <= b_const * eps + 1e-8
 
     def test_gronwall_bound_dominates_deviation(self, section5, grid512):
@@ -154,7 +154,7 @@ class TestUlamHyers:
         )
         deviation = np.abs(u_tilde.raw_tail() - u.raw_tail())
         rhs = section5.rhs
-        b_const, _ = ulam_hyers_constant(section5)
+        b_const = build_certificate(section5).b_const
         k = rhs.K_f / ((1.0 - rhs.L_f) * math.gamma(ORDER.alpha))
         bound = gronwall_bound(
             grid512, np.full(grid512.n_nodes, b_const * eps), k=k, alpha=ORDER.alpha
@@ -191,9 +191,9 @@ class TestUlamHyersRassias:
         phi = critical_profile(grid512)
         spec = PerturbationSpec("log-power", 1e-3, phi_profile=phi)
         with pytest.warns(UserWarning, match="not increasing"):
-            verdict = run_uhr_experiment(
-                section5, spec, ref.LAMBDA_PHI_CRITICAL, grid512
-            )
+            verdict = run_experiments(
+                section5, [spec], grid512, ref.LAMBDA_PHI_CRITICAL
+            )[0]
         assert verdict.passed
         assert verdict.mode == MODE_UHR
         assert verdict.margin >= 0.0
@@ -203,7 +203,7 @@ class TestUlamHyersRassias:
         phi = log_power(grid512, ORDER.gamma, 0.0)
         lam = math.log(section5.b) ** ORDER.alpha / math.gamma(ORDER.alpha + 1.0)
         spec = PerturbationSpec("log-power", 1e-3, phi_profile=phi)
-        verdict = run_uhr_experiment(section5, spec, lam, grid512)
+        verdict = run_experiments(section5, [spec], grid512, lam)[0]
         assert verdict.passed
         uh = run_uh_experiment(section5, PerturbationSpec("constant", 1e-3), grid512)
         assert verdict.observed_deviation == pytest.approx(
@@ -215,7 +215,7 @@ class TestUlamHyersRassias:
         phi = log_power(grid512, ORDER.gamma, 0.0)
         lam = math.log(math.e) ** ORDER.alpha / math.gamma(ORDER.alpha + 1.0)
         spec = PerturbationSpec("log-power", 1.0, phi_profile=phi)
-        verdict = run_uhr_experiment(problem, spec, lam, grid512)
+        verdict = run_experiments(problem, [spec], grid512, lam)[0]
         assert verdict.mode == MODE_GENERALIZED_UHR
         assert verdict.passed
 
@@ -225,7 +225,7 @@ class TestUlamHyersRassias:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(CertificateRejected):
-                run_uhr_experiment(section5, spec, 0.5, grid512)
+                run_experiments(section5, [spec], grid512, 0.5)
 
 
 class TestDeterminismAndSerialization:
@@ -259,7 +259,7 @@ class TestSharedUnperturbedSolve:
 
     def test_uhr_list_verifies_lambda_phi_once(self, section5, grid512, monkeypatch):
         solves = count_calls(monkeypatch, "picard_solve")
-        constants = count_calls(monkeypatch, "rassias_constant")
+        constants = count_calls(monkeypatch, "build_certificate")
         phi = critical_profile(grid512)
         perturbations = [
             PerturbationSpec("log-power", eps, phi_profile=phi) for eps in EPSILONS
@@ -284,7 +284,7 @@ class TestSharedUnperturbedSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             shared = run_experiments(section5, perturbations, grid512, lam)
-            single = [run_uhr_experiment(section5, p, lam, grid512) for p in perturbations]
+            single = [run_experiments(section5, [p], grid512, lam)[0] for p in perturbations]
         assert shared == single
 
     def test_rejected_lambda_phi_before_any_solve(self, section5, grid512, monkeypatch):
@@ -344,3 +344,40 @@ class TestSharedUnperturbedSolve:
             assert main(["stability", "--config", str(cfg), "--panels", "64"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + len(EPSILONS)
         assert len(solves) == 1
+
+
+class TestVerdictsReadTheCertificate:
+    """Every bound is the certificate's constant, as `hhfrac certify` prints it."""
+
+    @staticmethod
+    def configured(name):
+        config = load_config(str(ROOT / "configs" / f"{name}.cfg"))
+        grid = config.grid()
+        return config, grid, config.problem(grid)
+
+    def test_uh_bound_is_c_f_eps(self):
+        config, grid, problem = self.configured("sweep_uh")
+        perturbations = [PerturbationSpec("constant", eps) for eps in config.epsilons]
+        verdicts = run_experiments(problem, perturbations, grid)
+        c_f = build_certificate(problem).c_f
+        assert [v.certified_bound for v in verdicts] == [c_f * eps for eps in config.epsilons]
+
+    def test_uhr_bound_is_c_f_phi_eps_phi_at_worst_node(self):
+        config, grid, problem = self.configured("sweep_uhr")
+        phi = config.phi_profile(grid)
+        perturbations = [
+            PerturbationSpec("log-power", eps, phi_profile=phi) for eps in config.epsilons
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            verdicts = run_experiments(problem, perturbations, grid, config.lambda_phi)
+            c_f_phi = build_certificate(problem, phi, config.lambda_phi).c_f_phi
+        u, _ = picard_solve(problem, grid)
+        for verdict, p in zip(verdicts, perturbations):
+            u_tilde, _ = solve_with_fixed_constant(
+                problem, grid, z_fixed=u.weighted_limit,
+                shift=p.realize(grid, problem.order.gamma),
+            )
+            bounds = c_f_phi * p.epsilon * phi.raw_tail()
+            worst = np.argmin(bounds - np.abs(u_tilde.raw_tail() - u.raw_tail()))
+            assert verdict.certified_bound == bounds[worst]
