@@ -105,8 +105,6 @@ def existence_constants(problem: ProblemSpec):
     example (about 0.88 for the reference problem).
     """
     rhs = problem.rhs
-    if not rhs.rho_star < 1.0:
-        raise DomainError("existence constants require rho_star < 1")
     o = problem.order
     g, a = o.gamma, o.alpha
     logb = math.log(problem.b)
@@ -128,8 +126,6 @@ def existence_constants(problem: ProblemSpec):
 def uniqueness_constant(problem: ProblemSpec) -> float:
     """Contraction modulus A of the fixed-point operator; A < 1 gives uniqueness."""
     rhs = problem.rhs
-    if not rhs.L_f < 1.0:
-        raise DomainError("uniqueness constant requires L_f < 1")
     o = problem.order
     g, a = o.gamma, o.alpha
     logb = math.log(problem.b)

@@ -67,16 +67,13 @@ def _solution_csv(u, f_grid) -> str:
     grid = u.grid
     x = grid.log_nodes
     t = grid.nodes
-    lines = [SOLUTION_HEADER]
     # node 0: raw values may be unbounded; weighted limits are the record
-    lines.append(f"{float(t[0])!r},{float(x[0])!r},{u.weighted_limit!r},,")
-    u_raw = u.raw_tail()
-    f_raw = f_grid.raw_tail()
-    for i in range(1, grid.n_nodes):
-        lines.append(
-            f"{float(t[i])!r},{float(x[i])!r},{float(u.weighted_values[i])!r},"
-            f"{float(u_raw[i - 1])!r},{float(f_raw[i - 1])!r}"
-        )
+    lines = [SOLUTION_HEADER, f"{float(t[0])!r},{float(x[0])!r},{u.weighted_limit!r},,"]
+    columns = (t[1:], x[1:], u.weighted_values[1:], u.raw_tail(), f_grid.raw_tail())
+    lines.extend(
+        f"{ti!r},{xi!r},{wi!r},{ui!r},{fi!r}"
+        for ti, xi, wi, ui, fi in zip(*(map(float, col) for col in columns))
+    )
     return "\n".join(lines) + "\n"
 
 

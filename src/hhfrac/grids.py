@@ -137,7 +137,7 @@ class GridFunction:
     # -- algebra (same grid and weight class only) --------------------------
 
     def _check_compatible(self, other: "GridFunction"):
-        if (self.grid.b, self.grid.n_panels) != (other.grid.b, other.grid.n_panels):
+        if self.grid != other.grid:
             raise GridMismatchError(
                 "grid functions live on different grids; no implicit resampling"
             )

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .grids import GridFunction, LogGrid, Order
+from .grids import GridFunction, LogGrid, Order, log_power
 
 PAPER_EXAMPLE = "paper-example"
 MANUFACTURED = "manufactured-log-power"
@@ -221,8 +221,9 @@ class ProblemSpec:
 def paper_example_problem(phi: float = 1.0) -> ProblemSpec:
     """The saturating implicit problem with alpha=1/3, beta=2/3, c1=2, c2=1, b=e.
 
-    The boundary value phi is a free parameter (it does not enter the
-    existence or uniqueness constants); 1 is the default used by the CLI.
+    The boundary value phi is a free parameter; 1 is the default used by the
+    CLI.  It enters lambda_cap and the ball radius through |phi/(c1+c2)|,
+    and no other constant.
     """
     order = Order(alpha=1.0 / 3.0, beta_type=2.0 / 3.0)
     return ProblemSpec(
@@ -258,11 +259,9 @@ def manufactured_solution(problem: ProblemSpec, grid: LogGrid) -> GridFunction:
         raise DomainError("exact solution is only known for manufactured problems")
     p = problem.rhs.params
     g = problem.order.gamma
-    x = grid.log_nodes
-    w = np.empty(grid.n_nodes)
-    w[0] = p["u_critical_coeff"]
-    w[1:] = p["u_critical_coeff"] + p["u_coeff"] * x[1:] ** (1.0 - g + p["u_exponent"])
-    return GridFunction(grid, g, w)
+    return log_power(grid, g, g - 1.0, p["u_critical_coeff"]) + log_power(
+        grid, g, p["u_exponent"], p["u_coeff"]
+    )
 
 
 @dataclass(frozen=True)

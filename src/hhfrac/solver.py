@@ -105,14 +105,6 @@ class _Sweep:
         return u_next
 
 
-def _implicit_rhs_grid(
-    problem: ProblemSpec, u: GridFunction, shift: Optional[GridFunction] = None,
-) -> GridFunction:
-    """F_u on u's grid, in weight class gamma."""
-    values = _Sweep(problem, u.grid, shift).rhs_values(u.weighted_limit, u.raw_tail())
-    return GridFunction(u.grid, problem.order.gamma, values)
-
-
 def _z_rule(problem: ProblemSpec) -> Callable[[float], float]:
     """Z from (I^nu F_u)(b), fixed by the boundary data."""
     csum = problem.c1 + problem.c2
@@ -133,11 +125,12 @@ def _bc_defect(u: GridFunction, problem: ProblemSpec, f_grid: GridFunction) -> f
     The value at 1+ is Gamma(gamma) times the stored weighted limit; the
     integral part vanishes there because it gains a positive log-power.
 
-    When F(1+) is nonzero the solution carries an (log t)^alpha mode whose
+    The solution carries an F(1+)/Gamma(alpha+1) (log t)^alpha mode whose
     second integration the product rule resolves only at order 1 + alpha.
     That mode's coefficient is estimated from the right-hand-side grid and
     integrated in closed form, which keeps the reported defect at the
-    smooth-data level.
+    smooth-data level.  When F(1+) = 0 the correction moves only the signs
+    of zeros, which the final ``abs`` erases.
     """
     order = problem.order
     g = order.gamma
@@ -148,15 +141,14 @@ def _bc_defect(u: GridFunction, problem: ProblemSpec, f_grid: GridFunction) -> f
     if grid.n_panels >= 3:
         x = grid.log_nodes
         f_at_one = split_leading_mode(f_grid.weighted_values[:4], g, x[1:4] ** (g - 1.0)).g0
-        if f_at_one != 0.0:
-            mode_coeff = f_at_one / math.gamma(order.alpha + 1.0)
-            candidate = u - log_power(grid, g, order.alpha, coeff=mode_coeff)
-            logb = math.log(grid.b)
-            correction = (
-                f_at_one
-                / math.gamma(2.0 + order.alpha - g)
-                * logb ** (1.0 + order.alpha - g)
-            )
+        mode_coeff = f_at_one / math.gamma(order.alpha + 1.0)
+        candidate = u - log_power(grid, g, order.alpha, coeff=mode_coeff)
+        logb = math.log(grid.b)
+        correction = (
+            f_at_one
+            / math.gamma(2.0 + order.alpha - g)
+            * logb ** (1.0 + order.alpha - g)
+        )
     at_b = integral_value_at_b(candidate, 1.0 - g) + correction
     return float(abs(problem.c1 * at_one + problem.c2 * at_b - problem.phi))
 
@@ -260,14 +252,18 @@ def residual_fide(u: GridFunction, problem: ProblemSpec) -> float:
     refinement; on the right it is 2 nodes.
     """
     grid = u.grid
-    order = problem.order
-    d = hilfer_hadamard_derivative(u, order)
-    f_grid = _implicit_rhs_grid(problem, u)
+    d = hilfer_hadamard_derivative(u, problem.order)
+    sweep = _Sweep(problem, grid)
     lo = max(2, grid.n_panels // 64) + 1
     hi = grid.n_panels - 2
     if lo > hi:
         raise DomainError("grid too coarse for an interior residual window")
-    x = grid.log_nodes
-    diff_raw = d.raw_tail() - f_grid.raw_tail()
-    weighted = np.abs(diff_raw) * x[1:] ** (1.0 - order.gamma)
+    f_raw = sweep.rhs_values(u.weighted_limit, u.raw_tail())[1:]
+    f_raw *= sweep.to_raw
+    # in place, so the residual adds no grid-sized temporaries to the peak
+    # memory of a large solve
+    weighted = d.raw_tail()
+    weighted -= f_raw
+    np.abs(weighted, out=weighted)
+    weighted *= sweep.to_weighted
     return float(np.max(weighted[lo - 1 : hi]))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, ConvergenceError, MLOverflowError
 
-#: Default cap on the number of Mittag-Leffler series terms.
+#: Most terms the Mittag-Leffler series sums before it raises ConvergenceError.
 ML_TERM_CAP = 10_000
 
 # elements of one term-matrix block in mittag_leffler_array (512 KiB)
@@ -71,7 +71,7 @@ class MLSeriesResult:
             raise MLOverflowError("Mittag-Leffler value is not finite")
 
 
-def mittag_leffler(alpha: float, z: float, term_cap: int = ML_TERM_CAP) -> MLSeriesResult:
+def mittag_leffler(alpha: float, z: float) -> MLSeriesResult:
     """One-parameter Mittag-Leffler function E_alpha(z) = sum_k z^k / Gamma(k*alpha + 1).
 
     Direct power series for alpha in (0, 1] and z >= 0.  Terms are
@@ -91,7 +91,7 @@ def mittag_leffler(alpha: float, z: float, term_cap: int = ML_TERM_CAP) -> MLSer
     log_z = math.log(z)
     terms = [1.0]
     partial = 1.0
-    for k in range(1, term_cap + 1):
+    for k in range(1, ML_TERM_CAP + 1):
         log_term = k * log_z - math.lgamma(k * alpha + 1.0)
         if log_term > 709.0:
             raise MLOverflowError(
@@ -109,7 +109,7 @@ def mittag_leffler(alpha: float, z: float, term_cap: int = ML_TERM_CAP) -> MLSer
                 f"Mittag-Leffler partial sum overflows for alpha={alpha}, z={z}"
             )
     raise ConvergenceError(
-        f"Mittag-Leffler series did not converge within {term_cap} terms "
+        f"Mittag-Leffler series did not converge within {ML_TERM_CAP} terms "
         f"for alpha={alpha}, z={z}"
     )
 

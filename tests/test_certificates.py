@@ -15,8 +15,9 @@ from hhfrac.certificates import (
 )
 from hhfrac.config import load_config
 from hhfrac.errors import CertificateRejected, ConvergenceError, DomainError, MLOverflowError
-from hhfrac.grids import LogGrid, Order, log_power
-from hhfrac.problems import ProblemSpec, RhsSpec
+from hhfrac.grids import LogGrid, Order, log_power, weighted_norm
+from hhfrac.problems import ProblemSpec, RhsSpec, affine_rhs
+from hhfrac.solver import picard_solve
 from hhfrac.specfun import mittag_leffler
 from hhfrac.stability import PerturbationSpec, run_experiments
 
@@ -312,6 +313,33 @@ class TestCertificateRecord:
         with pytest.warns(UserWarning) as record:
             run_experiments(section5, [spec], grid512, ref.LAMBDA_PHI_CRITICAL)
         assert record[0].filename == stability_mod.__file__
+
+    def test_existence_ok_reads_omega_alone(self):
+        # the literal omega decides; omega_paper_variant is reported only
+        problem = ProblemSpec(
+            order=ORDER, b=math.e, c1=2.0, c2=1.0, phi=1.0,
+            rhs=affine_rhs(0.1, 0.0, 0.58, 0.0, math.e),
+        )
+        cert = build_certificate(problem)
+        assert cert.omega == pytest.approx(0.9331, abs=1e-4)
+        assert cert.omega_paper_variant == pytest.approx(1.0181, abs=1e-4)
+        assert cert.existence_ok
+        assert cert.ball_radius is not None
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="lambda_cap has no delta_star factor, so the ball radius does "
+        "not bound a solution driven by a large delta_star",
+    )
+    def test_ball_radius_bounds_large_delta_star_solution(self):
+        problem = ProblemSpec(
+            order=ORDER, b=math.e, c1=2.0, c2=1.0, phi=1.0,
+            rhs=affine_rhs(10.0, 0.0, 0.0, 0.0, math.e),
+        )
+        cert = build_certificate(problem)
+        u, _ = picard_solve(problem, LogGrid(math.e, 512))
+        # 8.33 against 1.71
+        assert weighted_norm(u) <= cert.ball_radius
 
     def test_ball_radius_only_with_existence(self):
         cert = build_certificate(problem_with(sigma=3.5))

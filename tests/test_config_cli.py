@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from hhfrac.cli import main
+from hhfrac.cli import SOLUTION_HEADER, _solution_csv, main
 from hhfrac.config import ConfigError, parse_config
+from hhfrac.grids import LogGrid
+from hhfrac.problems import paper_example_problem
+from hhfrac.solver import picard_solve
 
 SECTION5_CFG = """\
 alpha = 1/3
@@ -551,3 +554,28 @@ class TestCli:
             if " = " in line
         )
         assert float(record["residual_norm"]) <= 1e-6
+
+
+def loop_solution_csv(u, f_grid):
+    """The solution CSV written node by node with an indexed loop."""
+    grid = u.grid
+    x = grid.log_nodes
+    t = grid.nodes
+    lines = [SOLUTION_HEADER]
+    lines.append(f"{float(t[0])!r},{float(x[0])!r},{u.weighted_limit!r},,")
+    u_raw = u.raw_tail()
+    f_raw = f_grid.raw_tail()
+    for i in range(1, grid.n_nodes):
+        lines.append(
+            f"{float(t[i])!r},{float(x[i])!r},{float(u.weighted_values[i])!r},"
+            f"{float(u_raw[i - 1])!r},{float(f_raw[i - 1])!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("panels", [5, 64, 513])
+def test_solution_csv_matches_indexed_loop(panels):
+    u, report = picard_solve(paper_example_problem(), LogGrid(math.e, panels))
+    text = _solution_csv(u, report.F_u)
+    assert text == loop_solution_csv(u, report.F_u)
+    assert len(text.splitlines()) == panels + 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import reference_values as ref
+from oracles import reference_rhs
 from hhfrac.certificates import uniqueness_constant
 from hhfrac.errors import ConvergenceError, DomainError, GridMismatchError
 from hhfrac.grids import GridFunction, LogGrid, Order, log_power, weighted_norm
@@ -19,7 +20,6 @@ from hhfrac.problems import (
     table_rhs,
 )
 from hhfrac.solver import (
-    _implicit_rhs_grid,
     apply_Q,
     picard_solve,
     residual_fide,
@@ -135,14 +135,14 @@ class TestInnerSolve:
     def test_v_independent_returns_direct_value(self):
         rhs = manufactured_rhs(ORDER, math.e, exponent=2.0)
         grid = LogGrid(math.e, 16)
-        f_grid = _implicit_rhs_grid(posed(rhs), constant_raw(grid, 0.0))
+        f_grid = reference_rhs(rhs, ORDER, grid, constant_raw(grid, 0.0))
         expected = rhs.evaluate(grid.nodes[1:], 0.0, 0.0)
         np.testing.assert_allclose(f_grid.raw_tail(), expected, rtol=1e-14, atol=0.0)
 
     def test_affine_closed_form(self):
         rhs = affine_rhs(g0=0.4, g1=0.2, a=0.0, c=0.5, b=math.e)
         grid = LogGrid(math.e, 16)
-        f_grid = _implicit_rhs_grid(posed(rhs), constant_raw(grid, 7.0))
+        f_grid = reference_rhs(rhs, ORDER, grid, constant_raw(grid, 7.0))
         expected = (0.4 + 0.2 * grid.log_nodes[1:]) / (1.0 - 0.5)
         np.testing.assert_allclose(f_grid.raw_tail(), expected, rtol=1e-14, atol=0.0)
 
@@ -150,7 +150,7 @@ class TestInnerSolve:
         # the last node is t = e exactly, where log t = 1
         rhs = paper_example_rhs()
         grid = LogGrid(math.e, 16)
-        f_grid = _implicit_rhs_grid(posed(rhs), constant_raw(grid, 1.0))
+        f_grid = reference_rhs(rhs, ORDER, grid, constant_raw(grid, 1.0))
         assert f_grid.raw_tail()[-1] == pytest.approx(ref.INNER_FIXED_POINT_AT_E, abs=1e-12)
 
     def test_closed_form_against_bisection(self):
@@ -273,6 +273,13 @@ class TestPicardSolve:
         assert weighted_norm(u - manufactured_solution(problem, grid512)) <= 1e-3
         assert report.bc_defect <= 1e-6
 
+    def test_critical_mode_recovered_to_rounding(self, grid512):
+        # coeff = 0: the exact solution is the critical mode, the solver's start
+        problem = manufactured_problem(ORDER, math.e, 2.0, 1.0, coeff=0.0, critical_coeff=0.7)
+        u, report = picard_solve(problem, grid512)
+        assert report.iterations == 1
+        assert weighted_norm(u - manufactured_solution(problem, grid512)) <= 1e-15
+
     def test_zero_rhs_exact_in_one_iteration(self, grid512):
         problem = zero_problem(phi=1.0)
         u, report = picard_solve(problem, grid512)
@@ -336,15 +343,15 @@ class TestPicardSolve:
         for _ in range(5):
             u = GridFunction(grid512, ORDER.gamma, rng.uniform(-1, 1, grid512.n_nodes))
             v = GridFunction(grid512, ORDER.gamma, rng.uniform(-1, 1, grid512.n_nodes))
-            fu = _implicit_rhs_grid(section5, u)
-            fv = _implicit_rhs_grid(section5, v)
+            fu = reference_rhs(rhs, ORDER, grid512, u)
+            fv = reference_rhs(rhs, ORDER, grid512, v)
             gap = np.abs(fu.raw_tail() - fv.raw_tail())
             assert np.all(gap <= factor * np.abs(u.raw_tail() - v.raw_tail()) + 1e-10)
 
     def test_report_carries_rhs_at_solution(self, section5, grid512, section5_solution):
         # bitwise what a fresh inner solve at the returned iterate gives
         u, report = section5_solution
-        f_grid = _implicit_rhs_grid(section5, u)
+        f_grid = reference_rhs(section5.rhs, ORDER, grid512, u)
         np.testing.assert_array_equal(report.F_u.weighted_values, f_grid.weighted_values)
 
     def test_perturbed_report_includes_shift(self, section5, grid512, section5_solution):
@@ -353,7 +360,7 @@ class TestPicardSolve:
         u_tilde, report = solve_with_fixed_constant(
             section5, grid512, z_fixed=u.weighted_limit, shift=h
         )
-        f_grid = _implicit_rhs_grid(section5, u_tilde, shift=h)
+        f_grid = reference_rhs(section5.rhs, ORDER, grid512, u_tilde, shift=h)
         np.testing.assert_array_equal(report.F_u.weighted_values, f_grid.weighted_values)
 
     def test_noncontractive_inputs_warn(self, grid512):

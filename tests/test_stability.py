@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference_values as ref
+from oracles import reference_rhs
 import hhfrac.stability as stability_mod
 from hhfrac.certificates import build_certificate, gronwall_bound
 from hhfrac.config import load_config
@@ -127,7 +128,6 @@ class TestUlamHyers:
         # |u~ - Z (log t)^(gamma-1) - I^alpha F_u~| <= B eps + slack, with
         # the constant part shared between the two solves
         from hhfrac.hadamard import hadamard_integral
-        from hhfrac.solver import _implicit_rhs_grid
 
         eps = 1e-3
         u, _ = picard_solve(section5, grid512)
@@ -135,7 +135,7 @@ class TestUlamHyers:
         u_tilde, _ = solve_with_fixed_constant(
             section5, grid512, z_fixed=u.weighted_limit, shift=h
         )
-        f_tilde = _implicit_rhs_grid(section5, u_tilde)
+        f_tilde = reference_rhs(section5.rhs, ORDER, grid512, u_tilde)
         reconstructed = hadamard_integral(f_tilde, ORDER.alpha)
         defect = (
             u_tilde.raw_tail()

@@ -7,7 +7,8 @@ integral through ``hadamard_integral``, and the boundary defect with
 F_u(1+) extrapolated by the three-point rule written out.  The solver
 performs the same floating-point operations in the same order on weighted
 arrays, so every output must agree bit for bit, and a failing solve must
-fail the same way.
+fail the same way.  ``residual_fide`` is pinned the same way, against
+the Hilfer derivative minus the written-out F_u.
 """
 
 import math
@@ -21,28 +22,25 @@ from hhfrac.grids import GridFunction, LogGrid, Order, log_power, weighted_norm
 from hhfrac.hadamard import (
     _panel_weights,
     hadamard_integral,
+    hilfer_hadamard_derivative,
     integral_value_at_b,
     quadrature_plan,
 )
-from hhfrac.problems import ProblemSpec, affine_rhs, paper_example_problem
+from hhfrac.problems import (
+    ProblemSpec,
+    affine_rhs,
+    manufactured_problem,
+    paper_example_problem,
+    table_rhs,
+)
 from hhfrac.solver import (
     DEFAULT_CAP,
     DEFAULT_TOL,
     picard_solve,
+    residual_fide,
     solve_with_fixed_constant,
 )
-
-
-def reference_rhs(rhs, order, grid, u, shift):
-    g = order.gamma
-    s_raw = shift.raw_tail() if shift is not None else 0.0
-    s_w0 = shift.weighted_limit if shift is not None else 0.0
-    w = np.empty(grid.n_nodes)
-    w[0] = rhs.weighted_limit(u.weighted_limit, g) + s_w0
-    w[1:] = rhs.implicit_solution(grid.nodes[1:], u.raw_tail(), s_raw) * grid.log_nodes[1:] ** (
-        1.0 - g
-    )
-    return GridFunction(grid, g, w)
+from oracles import reference_rhs
 
 
 def boundary_z(problem):
@@ -151,10 +149,14 @@ def affine_problem(beta, a=0.25, b=2.5):
     )
 
 
+# coeff = 0 leaves only the critical mode: F = 0 and F(1+) = 0 exactly
+ZERO_RHS = manufactured_problem(Order(0.4, 0.5), 2.5, 1.0, 1.5, coeff=0.0, critical_coeff=0.7)
+
 PROBLEMS = {
     "paper-example": paper_example_problem(),
     "affine-beta-0": affine_problem(0.0),
     "affine-beta-0.999": affine_problem(0.999),
+    "manufactured-zero-rhs": ZERO_RHS,
 }
 ENTRIES = ("picard", "fixed")
 
@@ -177,6 +179,12 @@ def test_leading_mode_is_exercised():
     problem = PROBLEMS["affine-beta-0"]
     u, f_grid, *_ = solver_for("picard", problem, LogGrid(problem.b, 64))
     assert f_grid.weighted_limit != 0.0
+
+
+def test_zero_mode_is_exercised():
+    # the reference defect skips its mode correction here; the solver's runs
+    u, f_grid, *_ = solver_for("picard", ZERO_RHS, LogGrid(ZERO_RHS.b, 64))
+    assert not np.any(f_grid.weighted_values)
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -206,9 +214,52 @@ def test_diverging_affine_problem_fails_like_reference(entry, raised):
     assert got == outcome(reference_for, entry, problem, grid)
 
 
+def reference_residual_fide(u, problem):
+    """The weighted sup of D^(alpha,beta) u - F_u over the interior window."""
+    grid, order = u.grid, problem.order
+    d = hilfer_hadamard_derivative(u, order)
+    f_grid = reference_rhs(problem.rhs, order, grid, u)
+    lo = max(2, grid.n_panels // 64) + 1
+    hi = grid.n_panels - 2
+    weighted = np.abs(d.raw_tail() - f_grid.raw_tail()) * grid.log_nodes[1:] ** (1.0 - order.gamma)
+    return float(np.max(weighted[lo - 1 : hi]))
+
+
+def residual_problem(name, grid):
+    if name == "custom-table":
+        # a nonzero weighted limit gives F_u a leading mode
+        order = Order(0.4, 0.3)
+        table = GridFunction(grid, order.gamma, 0.4 + np.sin(3.0 * grid.log_nodes))
+        return ProblemSpec(order=order, b=grid.b, c1=1.0, c2=1.5, phi=0.8, rhs=table_rhs(table))
+    if name == "manufactured":
+        return manufactured_problem(Order(0.4, 0.5), 2.5, 1.0, 1.5, exponent=2.5, coeff=1.3,
+                                    critical_coeff=0.7)
+    return PROBLEMS[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["paper-example", "affine-beta-0", "manufactured", "custom-table"]
+)
+@pytest.mark.parametrize("n_panels", [5, 64, 512])
+def test_residual_fide_matches_reference_bitwise(n_panels, name):
+    b = 2.5 if name in ("manufactured", "custom-table") else PROBLEMS[name].b
+    grid = LogGrid(b, n_panels)
+    problem = residual_problem(name, grid)
+    u, _ = picard_solve(problem, grid)
+    # the solution, and a candidate far from it
+    for candidate in (u, 0.7 * u + log_power(grid, problem.order.gamma, 0.5, coeff=0.2)):
+        got = residual_fide(candidate, problem)
+        assert got == reference_residual_fide(candidate, problem)
+
+
 @pytest.mark.parametrize("n_panels", [1, 5, 512])
 @pytest.mark.parametrize("mu", [1.0 / 3.0, 0.7, 1.5])
 def test_cached_plan_is_read_only_and_matches_fresh_transforms(n_panels, mu):
+    # the two 128-entry caches age apart (the plan cache takes every
+    # lookup), so after enough other orders the weights cache may have
+    # dropped a live plan's entry; start both empty
+    quadrature_plan.cache_clear()
+    _panel_weights.cache_clear()
     grid = LogGrid(math.e, n_panels)
     plan = quadrature_plan(mu, grid.h, n_panels)
     assert quadrature_plan(mu, grid.h, n_panels) is plan
