@@ -199,6 +199,12 @@ def gronwall_bound(
     return w * mittag_leffler_array(alpha, z)
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise MLOverflowError(f"Ulam constant {name} overflows double precision")
+    return value
+
+
 def build_certificate(
     problem: ProblemSpec,
     phi_weight: Optional[GridFunction] = None,
@@ -212,7 +218,7 @@ def build_certificate(
     + 1e-9 at every node i >= 1 of a profile positive there; a non-monotone
     profile (the canonical (log t)^(gamma-1) one is decreasing) passes with
     a warning naming the caller, since the classical statement assumes an
-    increasing one.
+    increasing one.  A C_f or C_f_phi that overflows raises MLOverflowError.
     """
     omega, omega_pa, lam, radius = existence_constants(problem)
     a_const = uniqueness_constant(problem)
@@ -227,7 +233,7 @@ def build_certificate(
         cr / math.gamma(g) * logb**a / math.gamma(2.0 - g + a)
         + logb**a / math.gamma(a + 1.0)
     )
-    c_f = b_const * growth
+    c_f = _finite("C_f", b_const * growth)
     # B~, independent of the phi profile
     b_tilde, c_f_phi = cr * logb ** (g - 1.0) / math.gamma(g) + 1.0, None
     if lambda_phi is not None:
@@ -235,7 +241,11 @@ def build_certificate(
             raise DomainError("lambda_phi requires a phi profile to verify against")
         _verify_lambda_phi(problem, phi_weight, lambda_phi)
         # the displayed product carries lambda_phi twice
-        c_f_phi = b_tilde * lambda_phi**2 * growth
+        try:
+            squared = lambda_phi**2
+        except OverflowError:
+            squared = math.inf
+        c_f_phi = _finite("C_f_phi", b_tilde * squared * growth)
     return Certificate(
         omega=omega,
         omega_paper_variant=omega_pa,

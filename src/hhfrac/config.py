@@ -18,6 +18,7 @@ Recognized keys::
     panels, tol, cap                     numerics (>= 5, finite > 0, >= 1)
     stability.mode                       uh | uhr
     stability.perturbation               constant | log-power | supplied-table
+                                         (supplied-table only with mode uh)
     stability.epsilon                    finite positive float or comma list
     stability.phi                        one | critical-log-power
     stability.lambda_phi                 comparison constant for uhr (finite > 0)
@@ -231,6 +232,10 @@ def _violations(c: RunConfig, keys):
         yield "rhs", "custom-table rhs needs rhs.table"
     if c.perturbation_kind == SUPPLIED and c.stability_table is None:
         yield "stability.perturbation", "supplied-table perturbation needs stability.table"
+    if c.perturbation_kind == SUPPLIED and c.stability_mode == "uhr":
+        yield "stability.perturbation", (
+            "a supplied table has no phi profile; stability.mode = uhr needs one"
+        )
     for key, table in (("rhs.table", c.rhs_table), ("stability.table", c.stability_table)):
         if table is not None and len(table) != c.panels + 1:
             yield key, f"{len(table)} values; {c.panels} panels need {c.panels + 1}"

@@ -29,6 +29,12 @@ class Order:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"order requires 0 < alpha < 1, got {self.alpha!r}")
+        try:
+            math.gamma(self.alpha)
+        except OverflowError:
+            raise DomainError(
+                f"Gamma(alpha) overflows double precision at alpha={self.alpha!r}"
+            ) from None
         if not 0.0 <= self.beta_type <= 1.0:
             raise DomainError(f"order requires 0 <= beta_type <= 1, got {self.beta_type!r}")
         object.__setattr__(

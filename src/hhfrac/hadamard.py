@@ -25,10 +25,12 @@ the same data, as each Picard sweep does, splits it once.
 ``hadamard_integral`` and ``integral_value_at_b`` are the grid-function
 forms of the plan's two methods.
 
-The logarithmic derivative t d/dt is a second-order finite difference in x
-applied to the weighted profile, with the raw derivative reconstructed from
-the product rule ``u' = (V' + (gamma-1) V / x) x^(gamma-1)`` so that node 0
-never enters a stencil through an unbounded raw value.
+A Hadamard derivative splits its data once: (t d/dt) I^(1-mu) acts on the
+remainder as arrays, and the leading mode's image is added in closed form.
+t d/dt is a second-order finite difference in x applied to the weighted
+profile V, with the raw derivative reconstructed from the product rule
+``u' = (V' + (gamma-1) V / x) x^(gamma-1)`` so that node 0 never enters a
+stencil through an unbounded raw value.
 """
 
 from __future__ import annotations
@@ -197,13 +199,6 @@ def _split(f: GridFunction) -> LeadingModeSplit:
     return split_leading_mode(f.weighted_values, gw, f.grid.log_nodes[1:] ** (gw - 1.0))
 
 
-def _remainder(f: GridFunction) -> GridFunction:
-    """The function minus its leading weighted mode."""
-    rem = f.weighted_values - f.weighted_limit
-    rem[0] = 0.0
-    return GridFunction(f.grid, f.gamma_weight, rem)
-
-
 def hadamard_integral(f: GridFunction, mu: float) -> GridFunction:
     """Left Hadamard fractional integral of order mu > 0, same weight class.
 
@@ -230,32 +225,27 @@ def _profile_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def log_derivative(f: GridFunction) -> GridFunction:
-    """The operator t d/dt applied through the weighted profile.
+def _derivative(f: GridFunction, mu: float, s_coeff: float) -> GridFunction:
+    """(t d/dt) I^(1-mu) of f without its leading mode, plus that mode's image
+    ``s_coeff (log t)^(gw-mu-1)``, in weight class gw - mu.
 
-    With u = V(x) x^(gamma-1) the raw derivative is
-    V'(x) x^(gamma-1) + (gamma-1) V(x) x^(gamma-2); re-weighting gives
-    V' + (gamma-1) V / x, whose limit at 0 is gamma V'(0) when V(0) = 0.
+    f is split once; the remainder's integral V (weighted, class gw) is
+    differentiated by the product rule ``V' + (gw-1) V / x`` and re-weighted,
+    all on arrays, so only the result becomes a grid function.
     """
     grid = f.grid
     gw = f.gamma_weight
-    x = grid.log_nodes
-    v = f.weighted_values
+    x = grid.log_nodes[1:]
+    plan = quadrature_plan(1.0 - mu, grid.h, grid.n_panels)
+    v = plan.weighted_integral(_split(f)._replace(w0=0.0), x ** (1.0 - gw), x)
     vp = _profile_derivative(v, grid.h)
+    g_out = min(max(gw - mu, 0.0), 1.0 - _TOL)  # the result's weight class
     out = np.empty(grid.n_nodes)
-    out[1:] = vp[1:] + (gw - 1.0) * v[1:] / x[1:]
-    # valid weighted limit when V(0) = 0; otherwise only the regular part
-    # (callers peel the singular mode before differentiating)
-    out[0] = gw * vp[0]
-    return GridFunction(grid, gw, out)
-
-
-def _output_class(gw: float, drop: float) -> float:
-    """Weight class of a derivative result: gw - drop, clamped at 0."""
-    g_out = gw - drop
-    if g_out < 0.0:
-        return 0.0
-    return min(g_out, 1.0 - _TOL)
+    out[1:] = (vp[1:] + (gw - 1.0) * v[1:] / x) * x ** (gw - g_out)
+    if s_coeff != 0.0:
+        out[1:] += s_coeff * x ** (gw - mu - g_out)
+    out[0] = s_coeff if abs(g_out - (gw - mu)) <= _TOL else 0.0
+    return GridFunction(grid, g_out, out)
 
 
 def hadamard_derivative(f: GridFunction, mu: float) -> GridFunction:
@@ -268,9 +258,7 @@ def hadamard_derivative(f: GridFunction, mu: float) -> GridFunction:
     """
     if not 0.0 < mu < 1.0:
         raise DomainError(f"hadamard_derivative requires mu in (0, 1), got {mu!r}")
-    grid = f.grid
     gw = f.gamma_weight
-    x = grid.log_nodes
     w0 = f.weighted_limit
     if w0 != 0.0:
         if gw == 0.0:
@@ -280,18 +268,7 @@ def hadamard_derivative(f: GridFunction, mu: float) -> GridFunction:
                 f"derivative of the (log t)^({gw}-1) mode of order {mu} leaves "
                 "every representable weight class"
             )
-    s_coeff = w0 * gamma_ratio(gw, mu) if w0 != 0.0 else 0.0
-
-    inner = hadamard_integral(_remainder(f), 1.0 - mu)
-    drem = log_derivative(inner)
-
-    g_out = _output_class(gw, mu)
-    out = np.empty(grid.n_nodes)
-    out[1:] = drem.weighted_values[1:] * x[1:] ** (gw - g_out)
-    if s_coeff != 0.0:
-        out[1:] += s_coeff * x[1:] ** (gw - mu - g_out)
-    out[0] = s_coeff if abs(g_out - (gw - mu)) <= _TOL else 0.0
-    return GridFunction(grid, g_out, out)
+    return _derivative(f, mu, w0 * gamma_ratio(gw, mu) if w0 != 0.0 else 0.0)
 
 
 def hilfer_hadamard_derivative(f: GridFunction, order: Order) -> GridFunction:
@@ -300,12 +277,12 @@ def hilfer_hadamard_derivative(f: GridFunction, order: Order) -> GridFunction:
     The critical mode (log t)^(gamma_order - 1) is the operator's kernel,
     and every mode above it transforms as under the plain Hadamard
     derivative of order alpha, so the result is ``hadamard_derivative(f,
-    alpha)`` of f, or of its remainder when the leading weighted mode is
-    the critical one.  The two compositions agree above the kernel because
-    there the I^((1-beta)(1-alpha)) image vanishes at 1+, which lets the
-    outer integral commute with t d/dt; keeping the derivative last avoids
-    running finite-difference output through another weakly singular
-    quadrature.
+    alpha)``, except that a leading weighted mode that is the critical one
+    contributes nothing.  The two compositions agree above the kernel
+    because there the I^((1-beta)(1-alpha)) image vanishes at 1+, which
+    lets the outer integral commute with t d/dt; keeping the derivative
+    last avoids running finite-difference output through another weakly
+    singular quadrature.
 
     Inputs are assumed to lie in the operator's domain: modes strictly
     below the critical exponent (other than a peelable leading mode, which
@@ -322,7 +299,7 @@ def hilfer_hadamard_derivative(f: GridFunction, order: Order) -> GridFunction:
                 f"{go} - 1; its Hilfer-Hadamard derivative does not exist"
             )
         if abs(gw - go) <= _TOL:
-            f = _remainder(f)
+            return _derivative(f, alpha, 0.0)
     return hadamard_derivative(f, alpha)
 
 

@@ -418,6 +418,44 @@ class TestCli:
                 "{cfg}:11: stability.table: table values must be finite",
                 id="stability-table-nan",
             ),
+            pytest.param(
+                ["certify"],
+                SECTION5_CFG + "stability.mode = uhr\n"
+                + "stability.perturbation = supplied-table\npanels = 8\n"
+                + "stability.table = 0,0,0,0,0,0,0,0,0\n",
+                "{cfg}:10: stability.perturbation: a supplied table has no phi "
+                "profile; stability.mode = uhr needs one",
+                id="uhr-supplied-table",
+            ),
+            *(
+                pytest.param(
+                    [command], SECTION5_CFG.replace("alpha = 1/3", "alpha = 5e-324"),
+                    "{cfg}:1: alpha: Gamma(alpha) overflows double precision at "
+                    "alpha=5e-324",
+                    id=f"alpha-tiny-{command}",
+                )
+                for command in ("certify", "solve", "stability")
+            ),
+            *(
+                pytest.param(
+                    [command],
+                    SECTION5_CFG.replace("paper-example", "affine-in-uv")
+                    + "rhs.a = 8.915\npanels = 8\n",
+                    "Ulam constant C_f overflows double precision",
+                    id=f"c-f-overflow-{command}",
+                )
+                for command in ("certify", "stability")
+            ),
+            *(
+                pytest.param(
+                    [command],
+                    SECTION5_CFG + "stability.mode = uhr\nstability.lambda_phi = 1e300\n"
+                    + "panels = 8\n",
+                    "Ulam constant C_f_phi overflows double precision",
+                    id=f"c-f-phi-overflow-{command}",
+                )
+                for command in ("certify", "stability")
+            ),
             *(
                 pytest.param(
                     ["stability"],
@@ -554,6 +592,35 @@ class TestCli:
             if " = " in line
         )
         assert float(record["residual_norm"]) <= 1e-6
+
+
+EXTREME_VALUES = (
+    "5e-324", "-5e-324", "1e-300", "1e154", "1e300",
+    "1.7976931348623157e308", "-1.7976931348623157e308",
+)
+# every numeric key but panels and cap, which size the work, with a base
+# configuration whose rhs kind takes it
+EXTREME_KEYS = {
+    **dict.fromkeys(("alpha", "beta", "b", "c1", "c2", "phi", "tol",
+                     "stability.epsilon"), SECTION5_CFG),
+    **dict.fromkeys(("rhs.exponent", "rhs.coeff", "rhs.critical_coeff"), MANUFACTURED_CFG),
+    **dict.fromkeys(("rhs.g0", "rhs.g1", "rhs.a", "rhs.c"),
+                    SECTION5_CFG.replace("paper-example", "affine-in-uv")),
+    "stability.lambda_phi": SECTION5_CFG + "stability.mode = uhr\n",
+}
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("key", EXTREME_KEYS)
+def test_extreme_values_never_escape_main(tmp_path, capsys, key):
+    # an exception escaping main would be a traceback on the command line
+    cfg = tmp_path / "extreme.cfg"
+    base = [line for line in EXTREME_KEYS[key].splitlines() if not line.startswith(key + " ")]
+    for value in EXTREME_VALUES:
+        cfg.write_text("\n".join(base + ["panels = 8", f"{key} = {value}", ""]))
+        for command in ("certify", "solve", "stability"):
+            assert main([command, "--config", str(cfg)]) in (0, 1, 2)
+            capsys.readouterr()
 
 
 def loop_solution_csv(u, f_grid):

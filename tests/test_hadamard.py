@@ -19,7 +19,6 @@ from hhfrac.hadamard import (
     hadamard_integral,
     hilfer_hadamard_derivative,
     integral_value_at_b,
-    log_derivative,
 )
 
 G = math.gamma
@@ -358,16 +357,6 @@ class TestCompositionIdentities:
         lhs = hadamard_derivative(hadamard_integral(f, alpha), g)
         rhs = hadamard_derivative(f, BETA_TYPE * (1.0 - alpha))
         assert sup_err(lhs.raw_tail() - rhs.raw_tail(), grid) < 1e-2
-
-
-class TestLogDerivative:
-    def test_on_smooth_profile(self):
-        # central-difference truncation: about 4 h^2 on this quartic profile
-        grid = LogGrid(math.e, 512)
-        x = grid.log_nodes
-        f = GridFunction.from_raw_callable(grid, 0.0, lambda t: np.log(t) ** 3)
-        result = log_derivative(f)
-        assert sup_err(result.raw_tail() - 3.0 * x[1:] ** 2, grid) < 1e-4
 
 
 def direct_integral_raw(f, mu):
