@@ -17,10 +17,10 @@ a bad one by its flag.
 
 Exit status is 0 exactly when every check the command ran has passed.
 Configuration, domain and file errors, an overflowing Mittag-Leffler
-factor among them, print one ``error:`` line and exit 2.  A solve that reaches its
-cap prints one ``solve failed:`` line and a ``lambda_phi`` that fails its
-nodewise verification one ``certificate rejected:`` line (``certify`` and
-``stability``); both exit 1.
+factor among them, print one ``error:`` line and exit 2.  A solve that
+reaches its cap or whose iterates overflow prints one ``solve failed:``
+line and a ``lambda_phi`` that fails its nodewise verification one
+``certificate rejected:`` line (``certify`` and ``stability``); both exit 1.
 :func:`main` alone maps exceptions to these lines.
 Outputs are deterministic: identical configurations produce bytewise
 identical files.

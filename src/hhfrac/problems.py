@@ -78,28 +78,8 @@ class RhsSpec:
         return w * x ** (self.table.gamma_weight - 1.0) + 0.0 * u
 
     def implicit_solution(self, t, u, shift=0.0):
-        """The root z of z = f(t, u, z) + shift, in closed form for every kind.
-
-        For the paper example z = q + P |z|/(1+|z|) with P = 1/(t(2+t)) and
-        q = P (1 + |u|/(1+|u|)) + shift.  The root has the sign s of q
-        (+1 at q = 0), and w = |z| is the nonnegative root of
-        w^2 + B w - |q| = 0 with B = 1 - |q| - s P, taken in the form that
-        does not cancel for either sign of B.
-        """
-        if self.kind == PAPER_EXAMPLE:
-            c = 1.0 / (t * (2.0 + t))
-            q = c * (1.0 + np.abs(u) / (1.0 + np.abs(u))) + shift
-            s = np.where(q < 0.0, -1.0, 1.0)
-            aq = np.abs(q)
-            bq = 1.0 - aq - s * c
-            root = np.sqrt(bq * bq + 4.0 * aq)
-            w = np.where(bq >= 0.0, 2.0 * aq / (bq + root), 0.5 * (root - bq))
-            return s * w
-        if self.kind == AFFINE:
-            p = self.params
-            return (p["g0"] + p["g1"] * np.log(t) + p["a"] * u + shift) / (1.0 - p["c"])
-        # the remaining kinds do not depend on v
-        return self.evaluate(t, u, 0.0) + shift
+        """The root z of z = f(t, u, z) + shift: :meth:`ImplicitRoot.solve` at nodes t."""
+        return ImplicitRoot(self, t).solve(u, shift)
 
     def weighted_limit(self, u_weighted_limit: float, gamma: float) -> float:
         """lim_{t->1+} (log t)^(1-gamma) F_u(t) for u with the given weighted limit."""
@@ -108,6 +88,65 @@ class RhsSpec:
         if self.kind == CUSTOM_TABLE:
             return self.table.weighted_limit
         return 0.0
+
+
+class ImplicitRoot:
+    """The root z of z = f(t, u, z) + shift at fixed nodes t, in closed form for every kind.
+
+    The part that depends on t alone is built once: 1/(t(2+t)) for the
+    paper example, g0 + g1 log t for the affine entry.  A solve that
+    sweeps the same nodes many times builds one and calls :meth:`solve`
+    per sweep.
+
+    For the paper example z = q + P |z|/(1+|z|) with P = 1/(t(2+t)) and
+    q = P (1 + |u|/(1+|u|)) + shift.  The root has the sign s of q
+    (+1 at q = 0), and w = |z| is the nonnegative root of
+    w^2 + B w - |q| = 0 with B = 1 - |q| - s P, taken in the form that
+    does not cancel for either sign of B.
+    """
+
+    def __init__(self, rhs: RhsSpec, t):
+        self.rhs, self.t = rhs, t
+        if rhs.kind == PAPER_EXAMPLE:
+            self.grid_part = 1.0 / (t * (2.0 + t))
+        elif rhs.kind == AFFINE:
+            self.grid_part = rhs.params["g0"] + rhs.params["g1"] * np.log(t)
+
+    def solve(self, u, shift=0.0, out=None):
+        """z at the nodes for raw values u; written into ``out`` when given."""
+        kind = self.rhs.kind
+        if kind == PAPER_EXAMPLE:
+            c = self.grid_part
+            aq = np.abs(u)
+            q = aq + 1.0
+            np.divide(aq, q, out=q)
+            q += 1.0
+            q *= c
+            q += shift
+            np.abs(q, out=aq)
+            # copysign(P, q) is s P and copysign(w, q) is s w: with P >= 0
+            # the sum q is never -0.0
+            bq = 1.0 - aq
+            bq -= np.copysign(c, q)
+            root = bq * bq
+            root += 4.0 * aq
+            np.sqrt(root, out=root)
+            w = root - bq
+            w *= 0.5
+            aq *= 2.0
+            np.add(bq, root, out=root)
+            # w = 2|q|/(B + root) where B >= 0, (root - B)/2 elsewhere
+            np.divide(aq, root, out=w, where=bq >= 0.0)
+            return np.copysign(w, q, out=out)
+        if kind == AFFINE:
+            p = self.rhs.params
+            z = np.multiply(u, p["a"], out=out)
+            z += self.grid_part
+            z += shift
+            z /= 1.0 - p["c"]
+            return z
+        # the remaining kinds do not depend on v
+        return np.add(self.rhs.evaluate(self.t, u, 0.0), shift, out=out)
 
 
 def _require_finite(**params):

@@ -10,19 +10,21 @@ Picard sweep resolves the implicit right-hand side at every node at once
 (closed-form implicit solve per catalog entry, unique because L_f < 1),
 recomputes Z_u, and applies the Hadamard integral.  One private engine
 runs every solve; ``picard_solve`` fixes Z by the boundary data and
-``solve_with_fixed_constant`` freezes it, for perturbed re-solves and for
-initial-value solves ``(I^(1-gamma) u)(1+) = u0`` with ``z_fixed = u0 /
-Gamma(gamma)``.  Each returns ``(u, report)``; the report carries F_u at
-the returned iterate and the boundary defect.  The solves, ``apply_Q``
-and ``residual_fide`` raise ``GridMismatchError`` for a grid whose b is
-not the problem's.
+``solve_with_fixed_constant`` freezes it, for perturbed re-solves (started
+at the unperturbed solution) and for initial-value solves
+``(I^(1-gamma) u)(1+) = u0`` with ``z_fixed = u0 / Gamma(gamma)``.  Each
+returns ``(u, report)``; the report carries F_u at the returned iterate
+and the boundary defect.  The solves, ``apply_Q`` and ``residual_fide``
+raise ``GridMismatchError`` for a grid whose b is not the problem's, and
+a solve whose iterates overflow raises ``ConvergenceError``.
 
 The sweeps run on weighted numpy arrays.  ``x^(gamma-1)``,
-``x^(1-gamma)`` and the quadrature plans of the orders alpha and
-nu = 1 - gamma + alpha are built once per solve, F_u is split into its
-leading mode and remainder once per sweep, and that split serves both Z
-(through ``(I^nu F_u)(b)``) and ``I^alpha F_u``.  Grid functions are built
-only for the start and for the returned u and F_u.  The operations are
+``x^(1-gamma)``, the implicit root's grid-only part and the quadrature
+plans of the orders alpha and nu = 1 - gamma + alpha are built once per
+solve, F_u is split into its leading mode and remainder once per sweep,
+and that split serves both Z (through ``(I^nu F_u)(b)``) and
+``I^alpha F_u``.  Grid functions are built only for the start and for the
+returned u and F_u.  The operations are
 those of the grid-function operators, in the same order, so a solve is
 bit-for-bit what ``hadamard_integral`` and ``integral_value_at_b`` give
 sweep by sweep.
@@ -45,7 +47,7 @@ from .hadamard import (
     quadrature_plan,
     split_leading_mode,
 )
-from .problems import ProblemSpec, SolveReport
+from .problems import ImplicitRoot, ProblemSpec, SolveReport
 
 DEFAULT_TOL = 1e-10
 DEFAULT_CAP = 200
@@ -56,10 +58,11 @@ DEFAULT_INNER_CAP = 100
 class _Sweep:
     """The fixed-point map on weighted arrays, with its per-solve data built once.
 
-    Holds ``x^(gamma-1)``, ``x^(1-gamma)``, the raw shift and the two
-    quadrature plans.  :meth:`apply` splits F_u once and shares that split
-    between the boundary value ``(I^nu F_u)(b)``, nu = 1 - gamma + alpha,
-    and the integral ``I^alpha F_u``.  Every entry point builds one, so it
+    Holds ``x^(gamma-1)``, ``x^(1-gamma)``, the raw shift, the implicit
+    root with its grid-only part and the two quadrature plans.
+    :meth:`apply` splits F_u once and shares that split between the
+    boundary value ``(I^nu F_u)(b)``, nu = 1 - gamma + alpha, and the
+    integral ``I^alpha F_u``.  Every entry point builds one, so it
     rejects a grid on another interval and a shift on another grid.
     """
 
@@ -77,6 +80,7 @@ class _Sweep:
         g = order.gamma
         x = grid.log_nodes[1:]
         self.rhs, self.gamma, self.grid, self.x = problem.rhs, g, grid, x
+        self.root = ImplicitRoot(problem.rhs, grid.nodes[1:])
         self.to_raw = x ** (g - 1.0)
         self.to_weighted = x ** (1.0 - g)
         self.shift_raw = shift.raw_tail() if shift is not None else 0.0
@@ -89,7 +93,7 @@ class _Sweep:
         """Weighted F_u (class gamma) from u's weighted limit and raw tail."""
         w = np.empty(self.grid.n_nodes)
         w[0] = self.rhs.weighted_limit(u_limit, self.gamma) + self.shift_limit
-        w[1:] = self.rhs.implicit_solution(self.grid.nodes[1:], u_raw, self.shift_raw)
+        self.root.solve(u_raw, self.shift_raw, out=w[1:])
         w[1:] *= self.to_weighted
         return w
 
@@ -155,47 +159,56 @@ def _bc_defect(u: GridFunction, problem: ProblemSpec, f_grid: GridFunction) -> f
 
 def _solve(
     problem: ProblemSpec, grid: LogGrid,
-    z_rule: Callable[[float], float], z_start: float,
+    z_rule: Callable[[float], float], start: np.ndarray,
     shift: Optional[GridFunction], tol: float, cap: int,
 ):
     """Iterate u <- Z (log t)^(gamma-1) + I^alpha F_u until the increment drops.
 
-    ``z_rule`` maps ``(I^nu F_u)(b)`` to Z and ``shift`` is added to the
-    right-hand side; returns (u, report) with the boundary defect of u.
-    The start is built as a grid function for its checks of the weight
-    class and the values.
+    ``start`` holds the weighted values of the first iterate, ``z_rule``
+    maps ``(I^nu F_u)(b)`` to Z and ``shift`` is added to the right-hand
+    side; returns (u, report) with the boundary defect of u.  The start is
+    built as a grid function for its checks of the weight class and the
+    values.  The map does not depend on the start, so a start nearer its
+    fixed point changes only the number of sweeps: a contraction of
+    modulus A stops within tol A/(1-A) of the fixed point from any start.
+    A sweep whose increment is not finite ends the solve in
+    ``ConvergenceError``; numpy's overflow warnings on the way there are
+    silenced.
     """
     if cap < 1 or not 0.0 < tol < math.inf:
         raise DomainError(
             f"need cap >= 1 and a finite tol > 0, got cap={cap!r}, tol={tol!r}"
         )
     gamma = problem.order.gamma
-    u = GridFunction(grid, gamma, np.full(grid.n_nodes, z_start)).weighted_values
+    u = GridFunction(grid, gamma, start).weighted_values
     sweep = _Sweep(problem, grid, shift)
 
     def step(u):
         """(F_u, Q u, sup |Q u - u|) on weighted arrays."""
         f_values = sweep.rhs_values(float(u[0]), u[1:] * sweep.to_raw)
         u_next = sweep.apply(f_values, z_rule)
-        change = float(np.max(np.abs(u_next - u)))
-        # a non-finite iterate makes the change non-finite
-        if not math.isfinite(change):
-            raise DomainError("grid function values must be finite")
-        return f_values, u_next, change
+        return f_values, u_next, float(np.max(np.abs(u_next - u)))
 
     history = []
-    for _ in range(cap):
-        _, u_next, increment = step(u)
-        history.append(increment)
-        u = u_next
-        if increment <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"successive approximation did not converge within {cap} sweeps "
-            f"(last increment {history[-1]:.3e})",
-            history=history,
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cap):
+            _, u_next, increment = step(u)
+            history.append(increment)
+            if not math.isfinite(increment):
+                raise ConvergenceError(
+                    f"successive approximation diverged: sweep {len(history)} "
+                    "left a non-finite iterate",
+                    history=history,
+                )
+            u = u_next
+            if increment <= tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"successive approximation did not converge within {cap} sweeps "
+                f"(last increment {history[-1]:.3e})",
+                history=history,
+            )
     # residual against one more application of the operator; its F_u is
     # the right-hand side at the returned iterate
     f_values, _, residual = step(u)
@@ -220,17 +233,18 @@ def picard_solve(
     a_const = uniqueness_constant(problem)
     if a_const >= 1.0:
         warnings.warn(
-            f"contraction constant {a_const:.4f} >= 1; successive approximation "
+            f"contraction constant {a_const:.4g} >= 1; successive approximation "
             "may diverge", stacklevel=2
         )
     z0 = problem.phi / ((problem.c1 + problem.c2) * math.gamma(problem.order.gamma))
-    return _solve(problem, grid, _z_rule(problem), z0, None, tol, cap)
+    return _solve(problem, grid, _z_rule(problem), np.full(grid.n_nodes, z0), None, tol, cap)
 
 
 def solve_with_fixed_constant(
     problem: ProblemSpec, grid: LogGrid, z_fixed: float,
     shift: Optional[GridFunction] = None,
     tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
+    start: Optional[GridFunction] = None,
 ):
     """Solve with the (log t)^(gamma-1) coefficient frozen at ``z_fixed``.
 
@@ -238,8 +252,23 @@ def solve_with_fixed_constant(
     weighted limit at 1+, and for initial-value solves.  ``shift`` is an
     additive perturbation h(t) of the right-hand side, as a grid function
     in the solution's weight class; the report's ``F_u`` then includes it.
+
+    ``start`` is the first iterate, on ``grid`` and in the weight class
+    gamma; the constant ``z_fixed`` when None.  A perturbed re-solve
+    started at the unperturbed solution needs fewer sweeps.  With Z frozen
+    the map contracts with modulus at most A, so when A < 1 its fixed point
+    and the stopping rule do not depend on the start, and two starts give
+    solutions within 2 tol A/(1-A) of each other in the weighted sup norm.
     """
-    return _solve(problem, grid, lambda tail: z_fixed, z_fixed, shift, tol, cap)
+    if start is None:
+        values = np.full(grid.n_nodes, z_fixed)
+    elif start.grid != grid or start.gamma_weight != problem.order.gamma:
+        raise GridMismatchError(
+            "start must live on the solve grid, in the weight class of the problem"
+        )
+    else:
+        values = start.weighted_values
+    return _solve(problem, grid, lambda tail: z_fixed, values, shift, tol, cap)
 
 
 def residual_fide(u: GridFunction, problem: ProblemSpec) -> float:

@@ -20,6 +20,16 @@ stability theorems equate the two constant parts; re-deriving the constant
 from the perturbed right-hand side would instead let the deviation inherit
 an O(epsilon) (log t)^(gamma-1) term that is unbounded near 1.
 
+Each perturbed re-solve starts at u, which lies within O(epsilon) of its
+solution.  With the constant frozen the map contracts with modulus at
+most A, and A < 1 is checked before any solve, so its fixed point and the
+stopping rule (increment <= tol) do not depend on the start: the start
+only saves sweeps.  Both starts stop within tol A/(1-A) of the fixed
+point, so a deviation or margin can move by at most 2 tol A/(1-A) in the
+weighted norm against a solve from the constant part; on the shipped
+configurations the largest move is 3.4e-9 relative.  Every start is u
+itself, so a verdict depends only on its own perturbation.
+
 Deviations are measured in the plain sup norm over the nodes t >= t_1,
 since the stability definitions compare raw values; node 0 raw values may
 be unbounded, so the weighted-limit deviation is reported separately
@@ -156,7 +166,8 @@ def run_experiments(
     distinct phi profile once lambda_phi is machine-verified against it),
     the contraction A < 1, and that each realized perturbation lives on
     ``grid`` and is admissible.  The perturbed solutions share the
-    unperturbed weighted limit at 1+.
+    unperturbed weighted limit at 1+, and each re-solve starts at the
+    unperturbed solution.
     """
     perturbations = list(perturbations)
     rassias = lambda_phi is not None
@@ -190,7 +201,7 @@ def run_experiments(
     verdicts = []
     for p, h in zip(perturbations, shifts):
         u_tilde, _ = solve_with_fixed_constant(
-            problem, grid, z_fixed=u.weighted_limit, shift=h, tol=tol, cap=cap
+            problem, grid, z_fixed=u.weighted_limit, shift=h, tol=tol, cap=cap, start=u
         )
         deviation = np.abs(u_tilde.raw_tail() - u_raw)
         wdev = abs(u_tilde.weighted_limit - u.weighted_limit)

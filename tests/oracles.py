@@ -8,12 +8,36 @@ bit without calling it.
 import numpy as np
 
 from hhfrac.grids import GridFunction
+from hhfrac.problems import AFFINE, PAPER_EXAMPLE
+
+
+def reference_implicit_solution(rhs, t, u, shift=0.0):
+    """The root z of z = f(t, u, z) + shift, one numpy expression per step.
+
+    For the paper example the root has the sign s of q (+1 at q = 0) and
+    |z| is the nonnegative root of w^2 + B w - |q| = 0, taken in the form
+    that does not cancel for either sign of B.
+    """
+    if rhs.kind == PAPER_EXAMPLE:
+        c = 1.0 / (t * (2.0 + t))
+        q = c * (1.0 + np.abs(u) / (1.0 + np.abs(u))) + shift
+        s = np.where(q < 0.0, -1.0, 1.0)
+        aq = np.abs(q)
+        bq = 1.0 - aq - s * c
+        root = np.sqrt(bq * bq + 4.0 * aq)
+        w = np.where(bq >= 0.0, 2.0 * aq / (bq + root), 0.5 * (root - bq))
+        return s * w
+    if rhs.kind == AFFINE:
+        p = rhs.params
+        return (p["g0"] + p["g1"] * np.log(t) + p["a"] * u + shift) / (1.0 - p["c"])
+    # the remaining kinds do not depend on v
+    return rhs.evaluate(t, u, 0.0) + shift
 
 
 def reference_rhs(rhs, order, grid, u, shift=None):
     """F_u = f(t, u, F_u) + shift on u's grid, in weight class gamma.
 
-    The catalog's closed-form implicit solve at the raw interior values,
+    The written-out closed-form implicit solve at the raw interior values,
     and the right-hand side's weighted limit (plus the shift's) at 1+.
     """
     g = order.gamma
@@ -21,7 +45,7 @@ def reference_rhs(rhs, order, grid, u, shift=None):
     s_w0 = shift.weighted_limit if shift is not None else 0.0
     w = np.empty(grid.n_nodes)
     w[0] = rhs.weighted_limit(u.weighted_limit, g) + s_w0
-    w[1:] = rhs.implicit_solution(grid.nodes[1:], u.raw_tail(), s_raw) * grid.log_nodes[1:] ** (
-        1.0 - g
+    w[1:] = reference_implicit_solution(rhs, grid.nodes[1:], u.raw_tail(), s_raw) * (
+        grid.log_nodes[1:] ** (1.0 - g)
     )
     return GridFunction(grid, g, w)

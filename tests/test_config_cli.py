@@ -282,6 +282,26 @@ class TestCli:
             "solve failed: successive approximation did not converge within 2 sweeps"
         )
 
+    def test_overflowing_solve_is_one_failure_line(self, tmp_path, capsys):
+        # the iterates overflow in the second sweep; numpy's overflow
+        # warnings on the way stay silent
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(
+            SECTION5_CFG.replace("paper-example", "affine-in-uv")
+            + "panels = 8\nrhs.a = 1e300\n"
+        )
+        with pytest.warns(UserWarning) as record:
+            assert main(["solve", "--config", str(cfg)]) == 1
+        [warning] = record
+        assert str(warning.message) == (
+            "contraction constant 1.63e+300 >= 1; successive approximation may diverge"
+        )
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "solve failed: successive approximation diverged: sweep 2 left a non-finite iterate"
+        ]
+
     def test_stability_rejected_lambda_phi_is_one_line(self, tmp_path, capsys):
         cfg = tmp_path / "uhr.cfg"
         cfg.write_text(

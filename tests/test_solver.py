@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import reference_values as ref
-from oracles import reference_rhs
+from oracles import reference_implicit_solution, reference_rhs
 from hhfrac.certificates import uniqueness_constant
 from hhfrac.errors import ConvergenceError, DomainError, GridMismatchError
 from hhfrac.grids import GridFunction, LogGrid, Order, log_power, weighted_norm
 from hhfrac.problems import (
+    ImplicitRoot,
     ProblemSpec,
     affine_rhs,
     manufactured_problem,
@@ -192,6 +193,54 @@ class TestInnerSolve:
             pytest.fail("oracle iteration did not settle")
         closed = rhs.implicit_solution(t, u_raw, shift)
         np.testing.assert_allclose(closed, z, rtol=0.0, atol=1e-12)
+
+
+class TestImplicitRoot:
+    """The per-solve root is bit for bit the written-out closed form."""
+
+    RHS = {
+        "paper-example": paper_example_rhs(),
+        "affine": affine_rhs(0.3, -0.2, 0.25, 0.3, math.e),
+        "affine-negative": affine_rhs(-0.7, 0.9, -0.3, -0.5, math.e),
+        "manufactured": manufactured_rhs(ORDER, math.e, exponent=2.5, coeff=-1.3),
+    }
+
+    @staticmethod
+    def draws(n, seed):
+        """Raw u with zeros of both signs, and shifts: scalars and arrays of both signs."""
+        rng = np.random.default_rng(seed)
+        u = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 3.0, n)
+        u[::7], u[3::11] = 0.0, -0.0
+        shift = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 1.0, n)
+        shift[::13] = -0.0
+        return u, [0.0, -0.0, 1e-3, -0.2, shift]
+
+    @pytest.mark.parametrize("n_panels", [5, 512, 8192])
+    @pytest.mark.parametrize("name", RHS)
+    def test_bitwise_against_written_out_root(self, name, n_panels):
+        rhs = self.RHS[name]
+        t = LogGrid(math.e, n_panels).nodes[1:]
+        root = ImplicitRoot(rhs, t)
+        u, shifts = self.draws(t.size, n_panels)
+        u_before = u.copy()
+        for shift in shifts:
+            expected = reference_implicit_solution(rhs, t, u, shift).tobytes()
+            assert root.solve(u, shift).tobytes() == expected
+            out = np.full(t.size + 1, np.nan)
+            root.solve(u, shift, out=out[1:])
+            assert out[1:].tobytes() == expected
+            assert rhs.implicit_solution(t, u, shift).tobytes() == expected
+        assert u.tobytes() == u_before.tobytes()
+
+    def test_saturating_root_cancelling_shift(self):
+        # shifts that cancel q exactly or leave B < 0 take the other branch
+        rhs = self.RHS["paper-example"]
+        t = LogGrid(math.e, 64).nodes[1:]
+        u = np.linspace(-2.0, 2.0, t.size)
+        q = 1.0 / (t * (2.0 + t)) * (1.0 + np.abs(u) / (1.0 + np.abs(u)))
+        for shift in (-q, -q * (1.0 + 1e-9), -3.0 * q, np.full(t.size, -1.5)):
+            expected = reference_implicit_solution(rhs, t, u, shift)
+            assert ImplicitRoot(rhs, t).solve(u, shift).tobytes() == expected.tobytes()
 
 
 class TestBoundaryConstant:
@@ -393,6 +442,38 @@ class TestGridMismatch:
         shift = log_power(LogGrid(math.e, 256), ORDER.gamma, 0.0, coeff=1e-3)
         with pytest.raises(GridMismatchError, match="perturbation must live on the solve grid"):
             solve_with_fixed_constant(section5, grid512, z_fixed=0.5, shift=shift)
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            lambda grid: log_power(LogGrid(math.e, 256), ORDER.gamma, 0.0),
+            lambda grid: log_power(LogGrid(2.0, grid.n_panels), ORDER.gamma, 0.0),
+            lambda grid: log_power(grid, 0.5, 0.0),
+        ],
+        ids=["panels", "interval", "weight-class"],
+    )
+    def test_start_on_another_grid_or_weight_class_rejected(self, section5, grid512, start):
+        with pytest.raises(GridMismatchError, match="start must live on the solve grid"):
+            solve_with_fixed_constant(section5, grid512, z_fixed=0.5, start=start(grid512))
+
+
+class TestStart:
+    """The first iterate of a frozen-Z solve changes its sweeps, not its fixed point."""
+
+    def test_none_is_the_constant_start(self, section5, grid512):
+        constant = log_power(grid512, ORDER.gamma, ORDER.gamma - 1.0, coeff=0.5)
+        u, report = solve_with_fixed_constant(section5, grid512, z_fixed=0.5)
+        v, report_v = solve_with_fixed_constant(section5, grid512, z_fixed=0.5, start=constant)
+        assert u.weighted_values.tobytes() == v.weighted_values.tobytes()
+        assert report.F_u.weighted_values.tobytes() == report_v.F_u.weighted_values.tobytes()
+        assert dataclasses.replace(report, F_u=None) == dataclasses.replace(report_v, F_u=None)
+
+    def test_start_at_the_solution_stops_after_one_sweep(self, section5, grid512):
+        h = log_power(grid512, ORDER.gamma, 0.0, coeff=1e-3)
+        u, report = solve_with_fixed_constant(section5, grid512, z_fixed=0.5, shift=h)
+        v, again = solve_with_fixed_constant(section5, grid512, z_fixed=0.5, shift=h, start=u)
+        assert report.iterations > 1 and again.iterations == 1
+        assert weighted_norm(v - u) <= report.final_update_norm
 
 
 class TestSolveArguments:

@@ -11,9 +11,9 @@ import hhfrac.stability as stability_mod
 from hhfrac.certificates import build_certificate, gronwall_bound
 from hhfrac.config import load_config
 from hhfrac.errors import CertificateRejected, DomainError, GridMismatchError
-from hhfrac.grids import GridFunction, LogGrid, Order, log_power
-from hhfrac.problems import ProblemSpec, affine_rhs, manufactured_problem
-from hhfrac.solver import picard_solve, solve_with_fixed_constant
+from hhfrac.grids import GridFunction, LogGrid, Order, log_power, weighted_norm
+from hhfrac.problems import ProblemSpec, affine_rhs, manufactured_problem, paper_example_problem
+from hhfrac.solver import DEFAULT_TOL, picard_solve, solve_with_fixed_constant
 from hhfrac.stability import (
     MODE_GENERALIZED_UH,
     MODE_GENERALIZED_UHR,
@@ -344,6 +344,88 @@ class TestSharedUnperturbedSolve:
             assert main(["stability", "--config", str(cfg), "--panels", "64"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + len(EPSILONS)
         assert len(solves) == 1
+
+
+class TestWarmStart:
+    """Every perturbed re-solve starts at the unperturbed solution u.
+
+    The frozen-Z map is a contraction of modulus A, so the start moves the
+    re-solved u~ by at most 2 tol A/(1-A) in the weighted norm and only
+    saves sweeps.
+    """
+
+    PROBLEMS = {
+        "section5": paper_example_problem(),
+        # a != 0 gives F a nonzero weighted limit, fed by the start's
+        "affine": ProblemSpec(
+            order=ORDER, b=math.e, c1=2.0, c2=1.0, phi=1.0,
+            rhs=affine_rhs(0.3, -0.2, 0.25, 0.3, math.e),
+        ),
+    }
+
+    @staticmethod
+    def shifts(grid, rassias):
+        if rassias:
+            phi = critical_profile(grid)
+            specs = [PerturbationSpec("log-power", eps, phi_profile=phi) for eps in EPSILONS]
+        else:
+            specs = [PerturbationSpec("constant", eps) for eps in EPSILONS]
+        return [p.realize(grid, ORDER.gamma) for p in specs]
+
+    @pytest.mark.parametrize("n_panels", [512, 2048])
+    @pytest.mark.parametrize("rassias", [False, True], ids=["UH", "UHR"])
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_warm_start_moves_within_contraction_slack_and_saves_sweeps(
+        self, name, rassias, n_panels
+    ):
+        problem = self.PROBLEMS[name]
+        grid = LogGrid(math.e, n_panels)
+        a_const = build_certificate(problem).a_const
+        assert a_const < 1.0
+        slack = 2.0 * DEFAULT_TOL * a_const / (1.0 - a_const)
+        u, _ = picard_solve(problem, grid)
+        cold_sweeps, warm_sweeps = [], []
+        for h in self.shifts(grid, rassias):
+            cold, cold_report = solve_with_fixed_constant(
+                problem, grid, z_fixed=u.weighted_limit, shift=h
+            )
+            warm, warm_report = solve_with_fixed_constant(
+                problem, grid, z_fixed=u.weighted_limit, shift=h, start=u
+            )
+            assert weighted_norm(warm - cold) <= slack
+            assert warm.weighted_limit == cold.weighted_limit == u.weighted_limit
+            cold_sweeps.append(cold_report.iterations)
+            warm_sweeps.append(warm_report.iterations)
+        assert all(w <= c for w, c in zip(warm_sweeps, cold_sweeps)), (warm_sweeps, cold_sweeps)
+        assert sum(warm_sweeps) < sum(cold_sweeps)
+
+    @pytest.mark.parametrize("rassias", [False, True], ids=["UH", "UHR"])
+    def test_every_re_solve_starts_at_the_unperturbed_solution(
+        self, section5, grid512, monkeypatch, rassias
+    ):
+        starts = []
+        original = stability_mod.solve_with_fixed_constant
+
+        def recorded(*args, **kwargs):
+            starts.append(kwargs["start"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stability_mod, "solve_with_fixed_constant", recorded)
+        if rassias:
+            phi = critical_profile(grid512)
+            perturbations = [
+                PerturbationSpec("log-power", eps, phi_profile=phi) for eps in EPSILONS
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                run_experiments(section5, perturbations, grid512, ref.LAMBDA_PHI_CRITICAL)
+        else:
+            run_experiments(section5, [PerturbationSpec("constant", eps) for eps in EPSILONS],
+                            grid512)
+        u, _ = picard_solve(section5, grid512)
+        assert len(starts) == len(EPSILONS)
+        for start in starts:
+            assert start.weighted_values.tobytes() == u.weighted_values.tobytes()
 
 
 class TestVerdictsReadTheCertificate:
