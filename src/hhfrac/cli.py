@@ -106,12 +106,9 @@ def cmd_solve(config: RunConfig, out: Optional[str]) -> int:
 def cmd_certify(config: RunConfig, out: Optional[str]) -> int:
     grid = config.grid()
     problem = config.problem(grid)
-    phi_profile = None
-    if config.lambda_phi is not None:
-        phi_profile = config.phi_profile(grid)
-    certificate = cert_mod.build_certificate(
-        problem, phi_weight=phi_profile, lambda_phi=config.lambda_phi
-    )
+    lam = config.rassias_lambda_phi
+    phi_profile = config.phi_profile(grid) if lam is not None else None
+    certificate = cert_mod.build_certificate(problem, phi_weight=phi_profile, lambda_phi=lam)
     _emit(certificate.as_text(), out)
     return 0 if (certificate.existence_ok and certificate.uniqueness_ok) else 1
 
@@ -134,11 +131,7 @@ def _perturbations(config: RunConfig, grid) -> list[PerturbationSpec]:
 def cmd_stability(config: RunConfig, out: Optional[str]) -> int:
     grid = config.grid()
     problem = config.problem(grid)
-    lam = None
-    if config.stability_mode == "uhr":
-        lam = config.lambda_phi
-        if lam is None:
-            lam = config.suggested_lambda_phi()
+    lam = config.rassias_lambda_phi if config.stability_mode == "uhr" else None
     verdicts = run_experiments(
         problem, _perturbations(config, grid), grid, lam,
         tol=config.tol, cap=config.cap,

@@ -21,7 +21,8 @@ Recognized keys::
                                          (supplied-table only with mode uh)
     stability.epsilon                    finite positive float or comma list
     stability.phi                        one | critical-log-power
-    stability.lambda_phi                 comparison constant for uhr (finite > 0)
+    stability.lambda_phi                 comparison constant for uhr (finite > 0;
+                                         default the phi profile's sharp one)
     stability.table                      comma list for supplied-table (panels+1,
                                          finite)
 
@@ -120,8 +121,16 @@ class RunConfig:
         g = self.order.gamma
         return log_power(grid, g, 0.0 if self.phi_kind == "one" else g - 1.0)
 
-    def suggested_lambda_phi(self) -> float:
-        """The sharp comparison constant for the built-in profiles."""
+    @property
+    def rassias_lambda_phi(self) -> Optional[float]:
+        """The Rassias comparison constant that ``certify`` and ``stability`` use.
+
+        The configured ``stability.lambda_phi``; without one, the sharp
+        constant of the built-in phi profile in ``uhr`` mode, and None in
+        ``uh`` mode.
+        """
+        if self.lambda_phi is not None or self.stability_mode != "uhr":
+            return self.lambda_phi
         order = self.order
         logb = math.log(self.b)
         if self.phi_kind == "one":

@@ -77,10 +77,6 @@ class RhsSpec:
         w = np.interp(x, xs, self.table.weighted_values)
         return w * x ** (self.table.gamma_weight - 1.0) + 0.0 * u
 
-    def implicit_solution(self, t, u, shift=0.0):
-        """The root z of z = f(t, u, z) + shift: :meth:`ImplicitRoot.solve` at nodes t."""
-        return ImplicitRoot(self, t).solve(u, shift)
-
     def weighted_limit(self, u_weighted_limit: float, gamma: float) -> float:
         """lim_{t->1+} (log t)^(1-gamma) F_u(t) for u with the given weighted limit."""
         if self.kind == AFFINE:

@@ -9,25 +9,28 @@ with the scalar Z_u fixed by the two-point boundary data.  Each outer
 Picard sweep resolves the implicit right-hand side at every node at once
 (closed-form implicit solve per catalog entry, unique because L_f < 1),
 recomputes Z_u, and applies the Hadamard integral.  One private engine
-runs every solve; ``picard_solve`` fixes Z by the boundary data and
-``solve_with_fixed_constant`` freezes it, for perturbed re-solves (started
-at the unperturbed solution) and for initial-value solves
-``(I^(1-gamma) u)(1+) = u0`` with ``z_fixed = u0 / Gamma(gamma)``.  Each
-returns ``(u, report)``; the report carries F_u at the returned iterate
-and the boundary defect.  The solves, ``apply_Q`` and ``residual_fide``
-raise ``GridMismatchError`` for a grid whose b is not the problem's, and
-a solve whose iterates overflow raises ``ConvergenceError``.
+runs every solve from a start in the weight class gamma: ``picard_solve``
+starts at the constant part and fixes Z by the boundary data, and
+``solve_with_fixed_constant`` freezes Z at its start's weighted limit, for
+perturbed re-solves (started at the unperturbed solution) and for
+initial-value solves ``(I^(1-gamma) u)(1+) = u0`` (started at the critical
+mode with coefficient ``u0 / Gamma(gamma)``).  Each returns
+``(u, report)``; the report carries F_u at the returned iterate and the
+boundary defect.  The solves, ``apply_Q`` and ``residual_fide`` raise
+``GridMismatchError`` for a grid whose b is not the problem's, the solves
+also for a start or shift on another grid or weight class, and a solve
+whose iterates overflow raises ``ConvergenceError``.
 
 The sweeps run on weighted numpy arrays.  ``x^(gamma-1)``,
 ``x^(1-gamma)``, the implicit root's grid-only part and the quadrature
 plans of the orders alpha and nu = 1 - gamma + alpha are built once per
 solve, F_u is split into its leading mode and remainder once per sweep,
 and that split serves both Z (through ``(I^nu F_u)(b)``) and
-``I^alpha F_u``.  Grid functions are built only for the start and for the
-returned u and F_u.  The operations are
-those of the grid-function operators, in the same order, so a solve is
-bit-for-bit what ``hadamard_integral`` and ``integral_value_at_b`` give
-sweep by sweep.
+``I^alpha F_u``.  The boundary defect is computed on the same arrays, so
+grid functions are built only for the start and for the returned u and
+F_u.  The operations are those of the grid-function operators, in the
+same order, so a solve is bit-for-bit what ``hadamard_integral`` and
+``integral_value_at_b`` give sweep by sweep.
 """
 
 from __future__ import annotations
@@ -41,12 +44,7 @@ import numpy as np
 from .certificates import uniqueness_constant
 from .errors import ConvergenceError, DomainError, GridMismatchError
 from .grids import GridFunction, LogGrid, log_power
-from .hadamard import (
-    hilfer_hadamard_derivative,
-    integral_value_at_b,
-    quadrature_plan,
-    split_leading_mode,
-)
+from .hadamard import hilfer_hadamard_derivative, quadrature_plan, split_leading_mode
 from .problems import ImplicitRoot, ProblemSpec, SolveReport
 
 DEFAULT_TOL = 1e-10
@@ -63,7 +61,8 @@ class _Sweep:
     :meth:`apply` splits F_u once and shares that split between the
     boundary value ``(I^nu F_u)(b)``, nu = 1 - gamma + alpha, and the
     integral ``I^alpha F_u``.  Every entry point builds one, so it
-    rejects a grid on another interval and a shift on another grid.
+    rejects a grid on another interval, and a shift on another grid or in
+    another weight class than gamma.
     """
 
     def __init__(
@@ -74,12 +73,14 @@ class _Sweep:
             raise GridMismatchError(
                 f"grid on [1, {grid.b!r}] for a problem posed on [1, {problem.b!r}]"
             )
-        if shift is not None and shift.grid != grid:
-            raise GridMismatchError("perturbation must live on the solve grid")
         order = problem.order
         g = order.gamma
+        if shift is not None and (shift.grid != grid or shift.gamma_weight != g):
+            raise GridMismatchError(
+                "perturbation must live on the solve grid, in the weight class of the problem"
+            )
         x = grid.log_nodes[1:]
-        self.rhs, self.gamma, self.grid, self.x = problem.rhs, g, grid, x
+        self.problem, self.rhs, self.gamma, self.grid, self.x = problem, problem.rhs, g, grid, x
         self.root = ImplicitRoot(problem.rhs, grid.nodes[1:])
         self.to_raw = x ** (g - 1.0)
         self.to_weighted = x ** (1.0 - g)
@@ -108,6 +109,36 @@ class _Sweep:
         u_next += z
         return u_next
 
+    def bc_defect(self, u: np.ndarray, f_values: np.ndarray) -> float:
+        """|c1 (I^(1-gamma) u)(1+) + c2 (I^(1-gamma) u)(b-) - phi| for weighted u and F_u.
+
+        The value at 1+ is Gamma(gamma) times the weighted limit; the
+        integral part vanishes there because it gains a positive log-power.
+
+        The solution carries an F(1+)/Gamma(alpha+1) (log t)^alpha mode whose
+        second integration the product rule resolves only at order 1 + alpha.
+        That mode's coefficient is estimated from F_u's first nodes, and the
+        mode is subtracted from u and integrated in closed form, which keeps
+        the reported defect at the smooth-data level.  When F(1+) = 0 the
+        correction moves only the signs of zeros, which the final ``abs``
+        erases.
+        """
+        problem, g = self.problem, self.gamma
+        alpha = problem.order.alpha
+        at_one = math.gamma(g) * float(u[0])
+        correction = 0.0
+        if self.grid.n_panels >= 3:
+            f_at_one = split_leading_mode(f_values[:4], g, self.to_raw[:3]).g0
+            mode_coeff = f_at_one / math.gamma(alpha + 1.0)
+            u = u.copy()
+            u[1:] -= mode_coeff * self.x ** (1.0 - g + alpha)
+            correction = (
+                f_at_one / math.gamma(2.0 + alpha - g) * self.log_b ** (1.0 + alpha - g)
+            )
+        plan = quadrature_plan(1.0 - g, self.grid.h, self.grid.n_panels)
+        at_b = plan.value_at_b(split_leading_mode(u, g, self.to_raw), self.log_b) + correction
+        return float(abs(problem.c1 * at_one + problem.c2 * at_b - problem.phi))
+
 
 def _z_rule(problem: ProblemSpec) -> Callable[[float], float]:
     """Z from (I^nu F_u)(b), fixed by the boundary data."""
@@ -123,56 +154,21 @@ def apply_Q(u: GridFunction, problem: ProblemSpec) -> GridFunction:
     return GridFunction(u.grid, problem.order.gamma, sweep.apply(f_values, _z_rule(problem)))
 
 
-def _bc_defect(u: GridFunction, problem: ProblemSpec, f_grid: GridFunction) -> float:
-    """|c1 (I^(1-gamma) u)(1+) + c2 (I^(1-gamma) u)(b-) - phi| of a weighted candidate.
-
-    The value at 1+ is Gamma(gamma) times the stored weighted limit; the
-    integral part vanishes there because it gains a positive log-power.
-
-    The solution carries an F(1+)/Gamma(alpha+1) (log t)^alpha mode whose
-    second integration the product rule resolves only at order 1 + alpha.
-    That mode's coefficient is estimated from the right-hand-side grid and
-    integrated in closed form, which keeps the reported defect at the
-    smooth-data level.  When F(1+) = 0 the correction moves only the signs
-    of zeros, which the final ``abs`` erases.
-    """
-    order = problem.order
-    g = order.gamma
-    grid = u.grid
-    at_one = math.gamma(g) * u.weighted_limit
-    candidate = u
-    correction = 0.0
-    if grid.n_panels >= 3:
-        x = grid.log_nodes
-        f_at_one = split_leading_mode(f_grid.weighted_values[:4], g, x[1:4] ** (g - 1.0)).g0
-        mode_coeff = f_at_one / math.gamma(order.alpha + 1.0)
-        candidate = u - log_power(grid, g, order.alpha, coeff=mode_coeff)
-        logb = math.log(grid.b)
-        correction = (
-            f_at_one
-            / math.gamma(2.0 + order.alpha - g)
-            * logb ** (1.0 + order.alpha - g)
-        )
-    at_b = integral_value_at_b(candidate, 1.0 - g) + correction
-    return float(abs(problem.c1 * at_one + problem.c2 * at_b - problem.phi))
-
-
 def _solve(
     problem: ProblemSpec, grid: LogGrid,
-    z_rule: Callable[[float], float], start: np.ndarray,
+    z_rule: Callable[[float], float], start: GridFunction,
     shift: Optional[GridFunction], tol: float, cap: int,
 ):
     """Iterate u <- Z (log t)^(gamma-1) + I^alpha F_u until the increment drops.
 
-    ``start`` holds the weighted values of the first iterate, ``z_rule``
-    maps ``(I^nu F_u)(b)`` to Z and ``shift`` is added to the right-hand
-    side; returns (u, report) with the boundary defect of u.  The start is
-    built as a grid function for its checks of the weight class and the
-    values.  The map does not depend on the start, so a start nearer its
-    fixed point changes only the number of sweeps: a contraction of
-    modulus A stops within tol A/(1-A) of the fixed point from any start.
-    A sweep whose increment is not finite ends the solve in
-    ``ConvergenceError``; numpy's overflow warnings on the way there are
+    ``start`` is the first iterate, which must live on ``grid`` in the
+    weight class gamma; ``z_rule`` maps ``(I^nu F_u)(b)`` to Z and
+    ``shift`` is added to the right-hand side.  Returns (u, report) with
+    the boundary defect of u.  The map does not depend on the start, so a
+    start nearer its fixed point changes only the number of sweeps: a
+    contraction of modulus A stops within tol A/(1-A) of the fixed point
+    from any start.  A sweep whose increment is not finite ends the solve
+    in ``ConvergenceError``; numpy's overflow warnings on the way there are
     silenced.
     """
     if cap < 1 or not 0.0 < tol < math.inf:
@@ -180,8 +176,12 @@ def _solve(
             f"need cap >= 1 and a finite tol > 0, got cap={cap!r}, tol={tol!r}"
         )
     gamma = problem.order.gamma
-    u = GridFunction(grid, gamma, start).weighted_values
+    if start.grid != grid or start.gamma_weight != gamma:
+        raise GridMismatchError(
+            "start must live on the solve grid, in the weight class of the problem"
+        )
     sweep = _Sweep(problem, grid, shift)
+    u = start.weighted_values
 
     def step(u):
         """(F_u, Q u, sup |Q u - u|) on weighted arrays."""
@@ -212,10 +212,10 @@ def _solve(
     # residual against one more application of the operator; its F_u is
     # the right-hand side at the returned iterate
     f_values, _, residual = step(u)
-    u, f_grid = GridFunction(grid, gamma, u), GridFunction(grid, gamma, f_values)
-    return u, SolveReport(
+    solution, f_grid = GridFunction(grid, gamma, u), GridFunction(grid, gamma, f_values)
+    return solution, SolveReport(
         iterations=len(history), final_update_norm=history[-1],
-        residual_norm=residual, bc_defect=_bc_defect(u, problem, f_grid),
+        residual_norm=residual, bc_defect=sweep.bc_defect(u, f_values),
         inner_iteration_max=1, F_u=f_grid,
     )
 
@@ -226,9 +226,10 @@ def picard_solve(
 ):
     """Solve the boundary-value problem; returns (solution, report).
 
-    The starting iterate is the pure constant part (exact when F = 0).  A
-    contraction modulus >= 1 only triggers a warning: the iteration may
-    still converge, and existence can hold without uniqueness.
+    The starting iterate is the constant part, a critical mode (exact
+    when F = 0).  A contraction modulus >= 1 only triggers a
+    warning: the iteration may still converge, and existence can hold
+    without uniqueness.
     """
     a_const = uniqueness_constant(problem)
     if a_const >= 1.0:
@@ -236,39 +237,31 @@ def picard_solve(
             f"contraction constant {a_const:.4g} >= 1; successive approximation "
             "may diverge", stacklevel=2
         )
-    z0 = problem.phi / ((problem.c1 + problem.c2) * math.gamma(problem.order.gamma))
-    return _solve(problem, grid, _z_rule(problem), np.full(grid.n_nodes, z0), None, tol, cap)
+    g = problem.order.gamma
+    z0 = problem.phi / ((problem.c1 + problem.c2) * math.gamma(g))
+    return _solve(problem, grid, _z_rule(problem), log_power(grid, g, g - 1.0, z0), None, tol, cap)
 
 
 def solve_with_fixed_constant(
-    problem: ProblemSpec, grid: LogGrid, z_fixed: float,
+    problem: ProblemSpec, grid: LogGrid, start: GridFunction,
     shift: Optional[GridFunction] = None,
     tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
-    start: Optional[GridFunction] = None,
 ):
-    """Solve with the (log t)^(gamma-1) coefficient frozen at ``z_fixed``.
+    """Solve from ``start`` with the (log t)^(gamma-1) coefficient frozen at its weighted limit.
 
-    Used for perturbed re-solves that must share the unperturbed solution's
-    weighted limit at 1+, and for initial-value solves.  ``shift`` is an
+    A perturbed re-solve starts at the unperturbed solution, so both share
+    its weighted limit at 1+; an initial-value solve
+    ``(I^(1-gamma) u)(1+) = u0`` starts at the critical mode
+    ``log_power(grid, gamma, gamma - 1, u0 / Gamma(gamma))``.  ``start``
+    must live on ``grid`` in the weight class gamma.  ``shift`` is an
     additive perturbation h(t) of the right-hand side, as a grid function
-    in the solution's weight class; the report's ``F_u`` then includes it.
-
-    ``start`` is the first iterate, on ``grid`` and in the weight class
-    gamma; the constant ``z_fixed`` when None.  A perturbed re-solve
-    started at the unperturbed solution needs fewer sweeps.  With Z frozen
-    the map contracts with modulus at most A, so when A < 1 its fixed point
-    and the stopping rule do not depend on the start, and two starts give
+    in the same class; the report's ``F_u`` then includes it.  With Z
+    frozen the map contracts with modulus at most A, so when A < 1 two
+    starts with the same weighted limit share the fixed point and give
     solutions within 2 tol A/(1-A) of each other in the weighted sup norm.
     """
-    if start is None:
-        values = np.full(grid.n_nodes, z_fixed)
-    elif start.grid != grid or start.gamma_weight != problem.order.gamma:
-        raise GridMismatchError(
-            "start must live on the solve grid, in the weight class of the problem"
-        )
-    else:
-        values = start.weighted_values
-    return _solve(problem, grid, lambda tail: z_fixed, values, shift, tol, cap)
+    z = start.weighted_limit
+    return _solve(problem, grid, lambda tail: z, start, shift, tol, cap)
 
 
 def residual_fide(u: GridFunction, problem: ProblemSpec) -> float:

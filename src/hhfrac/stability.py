@@ -20,15 +20,17 @@ stability theorems equate the two constant parts; re-deriving the constant
 from the perturbed right-hand side would instead let the deviation inherit
 an O(epsilon) (log t)^(gamma-1) term that is unbounded near 1.
 
-Each perturbed re-solve starts at u, which lies within O(epsilon) of its
-solution.  With the constant frozen the map contracts with modulus at
-most A, and A < 1 is checked before any solve, so its fixed point and the
-stopping rule (increment <= tol) do not depend on the start: the start
-only saves sweeps.  Both starts stop within tol A/(1-A) of the fixed
-point, so a deviation or margin can move by at most 2 tol A/(1-A) in the
-weighted norm against a solve from the constant part; on the shipped
-configurations the largest move is 3.4e-9 relative.  Every start is u
-itself, so a verdict depends only on its own perturbation.
+Each perturbed re-solve is ``solve_with_fixed_constant`` started at u:
+the constant is frozen at u's weighted limit, and u lies within
+O(epsilon) of the solution.  With the constant frozen the map contracts
+with modulus at most A, and A < 1 is checked before any solve, so its
+fixed point and the stopping rule (increment <= tol) do not depend on the
+start beyond that limit: the start only saves sweeps.  Both starts stop
+within tol A/(1-A) of the fixed point, so a deviation or margin can move
+by at most 2 tol A/(1-A) in the weighted norm against a solve from the
+constant part; on the shipped configurations the largest move is 3.4e-9
+relative.  Every start is u itself, so a verdict depends only on its own
+perturbation.
 
 Deviations are measured in the plain sup norm over the nodes t >= t_1,
 since the stability definitions compare raw values; node 0 raw values may
@@ -165,9 +167,9 @@ def run_experiments(
     Every check runs before any solve: the certificate (one, or one per
     distinct phi profile once lambda_phi is machine-verified against it),
     the contraction A < 1, and that each realized perturbation lives on
-    ``grid`` and is admissible.  The perturbed solutions share the
-    unperturbed weighted limit at 1+, and each re-solve starts at the
-    unperturbed solution.
+    ``grid`` in the weight class gamma and is admissible.  Each re-solve
+    starts at the unperturbed solution, so the perturbed solutions share
+    its weighted limit at 1+.
     """
     perturbations = list(perturbations)
     rassias = lambda_phi is not None
@@ -192,17 +194,17 @@ def run_experiments(
     shifts = []
     for p in perturbations:
         h = p.realize(grid, problem.order.gamma)
-        if h.grid != grid:
-            raise GridMismatchError("perturbation must live on the solve grid")
+        if h.grid != grid or h.gamma_weight != problem.order.gamma:
+            raise GridMismatchError(
+                "perturbation must live on the solve grid, in the weight class of the problem"
+            )
         _assert_admissible(h, p, rassias=rassias)
         shifts.append(h)
     u, _ = picard_solve(problem, grid, tol=tol, cap=cap)
     u_raw = u.raw_tail()
     verdicts = []
     for p, h in zip(perturbations, shifts):
-        u_tilde, _ = solve_with_fixed_constant(
-            problem, grid, z_fixed=u.weighted_limit, shift=h, tol=tol, cap=cap, start=u
-        )
+        u_tilde, _ = solve_with_fixed_constant(problem, grid, start=u, shift=h, tol=tol, cap=cap)
         deviation = np.abs(u_tilde.raw_tail() - u_raw)
         wdev = abs(u_tilde.weighted_limit - u.weighted_limit)
         if rassias:

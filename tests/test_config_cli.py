@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 
 from hhfrac.cli import SOLUTION_HEADER, _solution_csv, main
-from hhfrac.config import ConfigError, parse_config
+from hhfrac.config import ConfigError, load_config, parse_config
 from hhfrac.grids import LogGrid
 from hhfrac.problems import paper_example_problem
 from hhfrac.solver import picard_solve
+from hhfrac.stability import PerturbationSpec, run_experiments, verdicts_to_csv
 
 SECTION5_CFG = """\
 alpha = 1/3
@@ -205,6 +206,38 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1].startswith("UHR,0.001,")
+
+    @pytest.mark.filterwarnings("ignore:phi profile is not increasing")
+    def test_uhr_without_lambda_phi_certifies_the_constant_stability_uses(
+        self, tmp_path, capsys
+    ):
+        # sweep_uhr.cfg without its lambda_phi line: certify prints the
+        # constant that stability's bounds are built from
+        text = (Path(__file__).resolve().parent.parent / "configs" / "sweep_uhr.cfg").read_text()
+        cfg = tmp_path / "uhr.cfg"
+        cfg.write_text(
+            "".join(
+                line for line in text.splitlines(keepends=True)
+                if not line.startswith("stability.lambda_phi")
+            )
+            + "panels = 64\n"
+        )
+        assert main(["certify", "--config", str(cfg)]) == 0
+        record = dict(line.partition(" = ")[::2] for line in capsys.readouterr().out.splitlines())
+        assert "lambda_phi" in record and "c_f_phi" in record
+        assert main(["stability", "--config", str(cfg)]) == 0
+        rows = capsys.readouterr().out
+        config = load_config(str(cfg))
+        grid = config.grid()
+        phi = config.phi_profile(grid)
+        perturbations = [
+            PerturbationSpec("log-power", eps, phi_profile=phi) for eps in config.epsilons
+        ]
+        verdicts = run_experiments(
+            config.problem(grid), perturbations, grid, float(record["lambda_phi"]),
+            tol=config.tol, cap=config.cap,
+        )
+        assert rows == verdicts_to_csv(verdicts)
 
     def test_phi_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "s5.cfg"

@@ -123,6 +123,11 @@ def _bisected_root(t, u, shift, guess):
         return (lo + hi) / 2
 
 
+def critical_mode(grid, z):
+    """The start z (log t)^(gamma-1): weighted value z at every node."""
+    return log_power(grid, ORDER.gamma, ORDER.gamma - 1.0, z)
+
+
 def constant_raw(grid, value):
     """The grid function with raw value ``value`` at every node t > 1."""
     return GridFunction.from_raw_callable(
@@ -167,7 +172,7 @@ class TestInnerSolve:
         rel = rng.choice([-1.0, 1.0], n // 3) * 10.0 ** rng.uniform(-16.0, -2.0, n // 3)
         shift[near] = -base[near] * (1.0 + rel)
         shift[:10] = -base[:10]
-        z = paper_example_rhs().implicit_solution(t, u, shift)
+        z = ImplicitRoot(paper_example_rhs(), t).solve(u, shift)
         for i in range(n):
             exact = _bisected_root(t[i], u[i], shift[i], z[i])
             p = 1.0 / (t[i] * (2.0 + t[i]))
@@ -191,7 +196,7 @@ class TestInnerSolve:
                 break
         else:
             pytest.fail("oracle iteration did not settle")
-        closed = rhs.implicit_solution(t, u_raw, shift)
+        closed = ImplicitRoot(rhs, t).solve(u_raw, shift)
         np.testing.assert_allclose(closed, z, rtol=0.0, atol=1e-12)
 
 
@@ -229,7 +234,7 @@ class TestImplicitRoot:
             out = np.full(t.size + 1, np.nan)
             root.solve(u, shift, out=out[1:])
             assert out[1:].tobytes() == expected
-            assert rhs.implicit_solution(t, u, shift).tobytes() == expected
+            assert ImplicitRoot(rhs, t).solve(u, shift).tobytes() == expected
         assert u.tobytes() == u_before.tobytes()
 
     def test_saturating_root_cancelling_shift(self):
@@ -407,7 +412,7 @@ class TestPicardSolve:
         u, _ = section5_solution
         h = log_power(grid512, ORDER.gamma, 0.0, coeff=1e-3)
         u_tilde, report = solve_with_fixed_constant(
-            section5, grid512, z_fixed=u.weighted_limit, shift=h
+            section5, grid512, critical_mode(grid512, u.weighted_limit), shift=h
         )
         f_grid = reference_rhs(section5.rhs, ORDER, grid512, u_tilde, shift=h)
         np.testing.assert_array_equal(report.F_u.weighted_values, f_grid.weighted_values)
@@ -431,7 +436,7 @@ class TestGridMismatch:
         u = log_power(grid, ORDER.gamma, 0.0)
         call = {
             "picard": lambda: picard_solve(section5, grid),
-            "fixed": lambda: solve_with_fixed_constant(section5, grid, z_fixed=0.5),
+            "fixed": lambda: solve_with_fixed_constant(section5, grid, critical_mode(grid, 0.5)),
             "apply_Q": lambda: apply_Q(u, section5),
             "residual": lambda: residual_fide(u, section5),
         }[entry]
@@ -441,7 +446,16 @@ class TestGridMismatch:
     def test_shift_on_another_grid_rejected(self, section5, grid512):
         shift = log_power(LogGrid(math.e, 256), ORDER.gamma, 0.0, coeff=1e-3)
         with pytest.raises(GridMismatchError, match="perturbation must live on the solve grid"):
-            solve_with_fixed_constant(section5, grid512, z_fixed=0.5, shift=shift)
+            solve_with_fixed_constant(section5, grid512, critical_mode(grid512, 0.5), shift=shift)
+
+    def test_shift_in_another_weight_class_rejected(self):
+        # a class-0.5 shift would put its weighted limit into F_u's class-gamma limit
+        grid = LogGrid(math.e, 64)
+        shift = log_power(grid, 0.5, -0.5, coeff=1e-3)
+        with pytest.raises(GridMismatchError, match="in the weight class of the problem"):
+            solve_with_fixed_constant(
+                paper_example_problem(), grid, critical_mode(grid, 0.5), shift=shift
+            )
 
     @pytest.mark.parametrize(
         "start",
@@ -454,24 +468,17 @@ class TestGridMismatch:
     )
     def test_start_on_another_grid_or_weight_class_rejected(self, section5, grid512, start):
         with pytest.raises(GridMismatchError, match="start must live on the solve grid"):
-            solve_with_fixed_constant(section5, grid512, z_fixed=0.5, start=start(grid512))
+            solve_with_fixed_constant(section5, grid512, start(grid512))
 
 
 class TestStart:
     """The first iterate of a frozen-Z solve changes its sweeps, not its fixed point."""
 
-    def test_none_is_the_constant_start(self, section5, grid512):
-        constant = log_power(grid512, ORDER.gamma, ORDER.gamma - 1.0, coeff=0.5)
-        u, report = solve_with_fixed_constant(section5, grid512, z_fixed=0.5)
-        v, report_v = solve_with_fixed_constant(section5, grid512, z_fixed=0.5, start=constant)
-        assert u.weighted_values.tobytes() == v.weighted_values.tobytes()
-        assert report.F_u.weighted_values.tobytes() == report_v.F_u.weighted_values.tobytes()
-        assert dataclasses.replace(report, F_u=None) == dataclasses.replace(report_v, F_u=None)
-
     def test_start_at_the_solution_stops_after_one_sweep(self, section5, grid512):
         h = log_power(grid512, ORDER.gamma, 0.0, coeff=1e-3)
-        u, report = solve_with_fixed_constant(section5, grid512, z_fixed=0.5, shift=h)
-        v, again = solve_with_fixed_constant(section5, grid512, z_fixed=0.5, shift=h, start=u)
+        start = critical_mode(grid512, 0.5)
+        u, report = solve_with_fixed_constant(section5, grid512, start, shift=h)
+        v, again = solve_with_fixed_constant(section5, grid512, u, shift=h)
         assert report.iterations > 1 and again.iterations == 1
         assert weighted_norm(v - u) <= report.final_update_norm
 
@@ -492,7 +499,7 @@ class TestSolveArguments:
         solve = {
             "picard": lambda: picard_solve(section5, grid512, tol=tol, cap=cap),
             "fixed": lambda: solve_with_fixed_constant(
-                section5, grid512, z_fixed=0.5, tol=tol, cap=cap
+                section5, grid512, critical_mode(grid512, 0.5), tol=tol, cap=cap
             ),
         }[entry]
         with pytest.raises(DomainError, match="cap >= 1 and a finite tol > 0"):
@@ -500,12 +507,14 @@ class TestSolveArguments:
 
 
 class TestInitialValueSolve:
-    """An initial-value solve is a solve with Z frozen at u0 / Gamma(gamma)."""
+    """An initial-value solve starts at, and freezes Z at, u0 / Gamma(gamma)."""
 
     @staticmethod
     def solve_iv(rhs, u0, grid):
         problem = ProblemSpec(order=ORDER, b=math.e, c1=2.0, c2=1.0, phi=0.0, rhs=rhs)
-        return solve_with_fixed_constant(problem, grid, z_fixed=u0 / math.gamma(ORDER.gamma))
+        return solve_with_fixed_constant(
+            problem, grid, critical_mode(grid, u0 / math.gamma(ORDER.gamma))
+        )
 
     @staticmethod
     def iv_defect(u, u0):

@@ -32,8 +32,8 @@ EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def critical_profile(grid):
-    return log_power(grid, ORDER.gamma, ORDER.gamma - 1.0)
+def critical_profile(grid, coeff=1.0):
+    return log_power(grid, ORDER.gamma, ORDER.gamma - 1.0, coeff)
 
 
 def count_calls(monkeypatch, name):
@@ -80,6 +80,15 @@ class TestPerturbationSpec:
         spec = PerturbationSpec("supplied-table", 1e-3, table=table)
         with pytest.raises(GridMismatchError):
             run_uh_experiment(section5, spec, grid512)
+
+    def test_perturbation_weight_class_must_match(self, section5, grid512, monkeypatch):
+        # rejected before the unperturbed solve, not by the first re-solve
+        solves = count_calls(monkeypatch, "picard_solve")
+        table = log_power(grid512, 0.5, 0.0, coeff=1e-4)
+        spec = PerturbationSpec("supplied-table", 1e-3, table=table)
+        with pytest.raises(GridMismatchError, match="in the weight class of the problem"):
+            run_uh_experiment(section5, spec, grid512)
+        assert solves == []
 
 
 class TestUlamHyers:
@@ -133,7 +142,7 @@ class TestUlamHyers:
         u, _ = picard_solve(section5, grid512)
         h = PerturbationSpec("constant", eps).realize(grid512, ORDER.gamma)
         u_tilde, _ = solve_with_fixed_constant(
-            section5, grid512, z_fixed=u.weighted_limit, shift=h
+            section5, grid512, critical_profile(grid512, u.weighted_limit), shift=h
         )
         f_tilde = reference_rhs(section5.rhs, ORDER, grid512, u_tilde)
         reconstructed = hadamard_integral(f_tilde, ORDER.alpha)
@@ -150,7 +159,7 @@ class TestUlamHyers:
         u, _ = picard_solve(section5, grid512)
         h = PerturbationSpec("constant", eps).realize(grid512, ORDER.gamma)
         u_tilde, _ = solve_with_fixed_constant(
-            section5, grid512, z_fixed=u.weighted_limit, shift=h
+            section5, grid512, critical_profile(grid512, u.weighted_limit), shift=h
         )
         deviation = np.abs(u_tilde.raw_tail() - u.raw_tail())
         rhs = section5.rhs
@@ -387,11 +396,9 @@ class TestWarmStart:
         cold_sweeps, warm_sweeps = [], []
         for h in self.shifts(grid, rassias):
             cold, cold_report = solve_with_fixed_constant(
-                problem, grid, z_fixed=u.weighted_limit, shift=h
+                problem, grid, critical_profile(grid, u.weighted_limit), shift=h
             )
-            warm, warm_report = solve_with_fixed_constant(
-                problem, grid, z_fixed=u.weighted_limit, shift=h, start=u
-            )
+            warm, warm_report = solve_with_fixed_constant(problem, grid, u, shift=h)
             assert weighted_norm(warm - cold) <= slack
             assert warm.weighted_limit == cold.weighted_limit == u.weighted_limit
             cold_sweeps.append(cold_report.iterations)
@@ -457,7 +464,7 @@ class TestVerdictsReadTheCertificate:
         u, _ = picard_solve(problem, grid)
         for verdict, p in zip(verdicts, perturbations):
             u_tilde, _ = solve_with_fixed_constant(
-                problem, grid, z_fixed=u.weighted_limit,
+                problem, grid, critical_profile(grid, u.weighted_limit),
                 shift=p.realize(grid, problem.order.gamma),
             )
             bounds = c_f_phi * p.epsilon * phi.raw_tail()

@@ -128,8 +128,10 @@ def solver_for(entry, problem, grid):
     if entry == "picard":
         u, report = picard_solve(problem, grid)
     else:
-        shift = log_power(grid, problem.order.gamma, 0.0, coeff=1e-3)
-        u, report = solve_with_fixed_constant(problem, grid, 0.6, shift=shift)
+        g = problem.order.gamma
+        shift = log_power(grid, g, 0.0, coeff=1e-3)
+        start = log_power(grid, g, g - 1.0, 0.6)
+        u, report = solve_with_fixed_constant(problem, grid, start, shift=shift)
     return (
         u, report.F_u, report.iterations, report.final_update_norm,
         report.residual_norm, report.bc_defect,
