@@ -210,10 +210,13 @@ _KEYS = {
 
 def _violations(c: RunConfig, keys):
     """(key, message) for each check the configuration fails, in order."""
-    try:
-        Order(c.alpha, c.beta_type)
-    except DomainError as exc:
-        yield "alpha", str(exc)
+    # alpha alone first (beta_type 0 is valid), so a bad beta cites its own line
+    for key, beta_type in (("alpha", 0.0), ("beta", c.beta_type)):
+        try:
+            Order(c.alpha, beta_type)
+        except DomainError as exc:
+            yield key, str(exc)
+            break
     if not 1.0 < c.b < math.inf:
         yield "b", "b must be finite and exceed 1"
     if c.c1 + c.c2 == 0.0:

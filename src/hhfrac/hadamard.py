@@ -154,8 +154,7 @@ class QuadraturePlan:
         """Coefficient of (log t)^mu in the weighted image of the leading mode."""
         if split.w0 == 0.0:
             return 0.0
-        gw = split.gamma_weight
-        return split.w0 * math.exp(math.lgamma(gw) - math.lgamma(gw + self.mu))
+        return split.w0 * gamma_ratio(split.gamma_weight, -self.mu)
 
     def weighted_integral(
         self, split: LeadingModeSplit, to_weighted: np.ndarray, x: np.ndarray

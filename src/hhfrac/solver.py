@@ -3,41 +3,35 @@
 The mixed-type integral form of the problem is
 
     u(t) = Z_u (log t)^(gamma-1) + (I^alpha F_u)(t),
-    F_u(t) = f(t, u(t), F_u(t)),
+    F_u(t) = f(t, u(t), F_u(t)).
 
-with the scalar Z_u fixed by the two-point boundary data.  Each outer
-Picard sweep resolves the implicit right-hand side at every node at once
-(closed-form implicit solve per catalog entry, unique because L_f < 1),
-recomputes Z_u, and applies the Hadamard integral.  One private engine
-runs every solve from a start in the weight class gamma: ``picard_solve``
-starts at the constant part and fixes Z by the boundary data, and
-``solve_with_fixed_constant`` freezes Z at its start's weighted limit, for
-perturbed re-solves (started at the unperturbed solution) and for
-initial-value solves ``(I^(1-gamma) u)(1+) = u0`` (started at the critical
-mode with coefficient ``u0 / Gamma(gamma)``).  Each returns
-``(u, report)``; the report carries F_u at the returned iterate and the
-boundary defect.  The solves, ``apply_Q`` and ``residual_fide`` raise
-``GridMismatchError`` for a grid whose b is not the problem's, the solves
-also for a start or shift on another grid or weight class, and a solve
-whose iterates overflow raises ``ConvergenceError``.
+Each Picard sweep applies that map, Q.  It solves for F_u at every node at
+once, in closed form per catalog entry (unique because L_f < 1).
+``picard_solve`` starts at the constant part and fixes Z by the boundary
+data.  ``solve_with_fixed_constant`` freezes Z at its start's weighted
+limit: a perturbed re-solve starts at the unperturbed solution, and an
+initial-value solve ``(I^(1-gamma) u)(1+) = u0`` at the critical mode with
+coefficient ``u0 / Gamma(gamma)``.  Each returns ``(u, report)``; the
+report carries F_u at u and the boundary defect.
 
-The sweeps run on weighted numpy arrays.  ``x^(gamma-1)``,
-``x^(1-gamma)``, the implicit root's grid-only part and the quadrature
-plans of the orders alpha and nu = 1 - gamma + alpha are built once per
-solve, F_u is split into its leading mode and remainder once per sweep,
-and that split serves both Z (through ``(I^nu F_u)(b)``) and
-``I^alpha F_u``.  The boundary defect is computed on the same arrays, so
-grid functions are built only for the start and for the returned u and
-F_u.  The operations are those of the grid-function operators, in the
-same order, so a solve is bit-for-bit what ``hadamard_integral`` and
-``integral_value_at_b`` give sweep by sweep.
+Every entry point, ``apply_Q`` and ``residual_fide`` too, builds one sweep
+from its iterate.  The sweep checks the grid, the iterate and any shift
+once.  It raises ``GridMismatchError`` for a grid whose b is not the
+problem's, and for an iterate or shift on another grid or weight class.
+A solve whose iterates overflow raises ``ConvergenceError``.
+
+The sweeps run on weighted numpy arrays, with the per-solve data built
+once.  F_u is split into its leading mode and remainder once per sweep,
+for both Z and ``I^alpha F_u``.  The operations are those of the
+grid-function operators, in the same order, so a solve is bit for bit
+what ``hadamard_integral`` and ``integral_value_at_b`` give sweep by sweep.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -54,20 +48,20 @@ DEFAULT_INNER_CAP = 100
 
 
 class _Sweep:
-    """The fixed-point map on weighted arrays, with its per-solve data built once.
+    """The fixed-point map Q on weighted arrays; it owns one call's inputs.
 
-    Holds ``x^(gamma-1)``, ``x^(1-gamma)``, the raw shift, the implicit
-    root with its grid-only part and the two quadrature plans.
-    :meth:`apply` splits F_u once and shares that split between the
-    boundary value ``(I^nu F_u)(b)``, nu = 1 - gamma + alpha, and the
-    integral ``I^alpha F_u``.  Every entry point builds one, so it
-    rejects a grid on another interval, and a shift on another grid or in
-    another weight class than gamma.
+    Every entry point builds one from its iterate ``u``.  It checks, once
+    and in order, the grid's interval, then ``u``, then the shift: each
+    must live on the grid, in the weight class gamma.  ``role`` names
+    ``u`` in that error.  Z is fixed by the boundary data from
+    ``(I^nu F_u)(b)``, nu = 1 - gamma + alpha, or, when ``frozen``, held
+    at u's weighted limit.  The powers of x, the raw shift, the implicit
+    root and the quadrature plans are built here, once.
     """
 
     def __init__(
-        self, problem: ProblemSpec, grid: LogGrid,
-        shift: Optional[GridFunction] = None,
+        self, problem: ProblemSpec, grid: LogGrid, u: GridFunction,
+        shift: Optional[GridFunction] = None, frozen: bool = False, role: str = "start",
     ):
         if grid.b != problem.b:
             raise GridMismatchError(
@@ -75,6 +69,10 @@ class _Sweep:
             )
         order = problem.order
         g = order.gamma
+        if u.grid != grid or u.gamma_weight != g:
+            raise GridMismatchError(
+                f"{role} must live on the solve grid, in the weight class of the problem"
+            )
         if shift is not None and (shift.grid != grid or shift.gamma_weight != g):
             raise GridMismatchError(
                 "perturbation must live on the solve grid, in the weight class of the problem"
@@ -87,24 +85,29 @@ class _Sweep:
         self.shift_raw = shift.raw_tail() if shift is not None else 0.0
         self.shift_limit = shift.weighted_limit if shift is not None else 0.0
         self.alpha_plan = quadrature_plan(order.alpha, grid.h, grid.n_panels)
-        self.nu_plan = quadrature_plan(1.0 - g + order.alpha, grid.h, grid.n_panels)
         self.log_b = math.log(grid.b)
+        self.z = u.weighted_limit if frozen else None
+        if not frozen:
+            csum = problem.c1 + problem.c2
+            self.phi_csum, self.c2_csum = problem.phi / csum, problem.c2 / csum
+            self.gamma_g = math.gamma(g)
+            self.nu_plan = quadrature_plan(1.0 - g + order.alpha, grid.h, grid.n_panels)
 
-    def rhs_values(self, u_limit: float, u_raw: np.ndarray) -> np.ndarray:
-        """Weighted F_u (class gamma) from u's weighted limit and raw tail."""
+    def rhs_values(self, u: np.ndarray) -> np.ndarray:
+        """Weighted F_u (class gamma) for the weighted iterate u."""
         w = np.empty(self.grid.n_nodes)
-        w[0] = self.rhs.weighted_limit(u_limit, self.gamma) + self.shift_limit
-        self.root.solve(u_raw, self.shift_raw, out=w[1:])
+        w[0] = self.rhs.weighted_limit(float(u[0]), self.gamma) + self.shift_limit
+        self.root.solve(u[1:] * self.to_raw, self.shift_raw, out=w[1:])
         w[1:] *= self.to_weighted
         return w
 
-    def apply(self, f_values: np.ndarray, z_rule: Callable[[float], float]) -> np.ndarray:
-        """Weighted Z (log t)^(gamma-1) + I^alpha F for weighted F values.
-
-        ``z_rule`` maps ``(I^nu F)(b)`` to Z.
-        """
+    def apply(self, f_values: np.ndarray) -> np.ndarray:
+        """Weighted Z (log t)^(gamma-1) + I^alpha F for weighted F values."""
         split = split_leading_mode(f_values, self.gamma, self.to_raw)
-        z = z_rule(self.nu_plan.value_at_b(split, self.log_b))
+        z = self.z
+        if z is None:
+            tail = self.nu_plan.value_at_b(split, self.log_b)
+            z = (self.phi_csum - self.c2_csum * tail) / self.gamma_g
         u_next = self.alpha_plan.weighted_integral(split, self.to_weighted, self.x)
         u_next += z
         return u_next
@@ -140,53 +143,39 @@ class _Sweep:
         return float(abs(problem.c1 * at_one + problem.c2 * at_b - problem.phi))
 
 
-def _z_rule(problem: ProblemSpec) -> Callable[[float], float]:
-    """Z from (I^nu F_u)(b), fixed by the boundary data."""
-    csum = problem.c1 + problem.c2
-    gamma_g = math.gamma(problem.order.gamma)
-    return lambda tail: (problem.phi / csum - problem.c2 / csum * tail) / gamma_g
-
-
 def apply_Q(u: GridFunction, problem: ProblemSpec) -> GridFunction:
     """One application of the fixed-point operator of the mixed-type equation."""
-    sweep = _Sweep(problem, u.grid)
-    f_values = sweep.rhs_values(u.weighted_limit, u.raw_tail())
-    return GridFunction(u.grid, problem.order.gamma, sweep.apply(f_values, _z_rule(problem)))
+    sweep = _Sweep(problem, u.grid, u, role="u")
+    f_values = sweep.rhs_values(u.weighted_values)
+    return GridFunction(u.grid, problem.order.gamma, sweep.apply(f_values))
 
 
 def _solve(
-    problem: ProblemSpec, grid: LogGrid,
-    z_rule: Callable[[float], float], start: GridFunction,
-    shift: Optional[GridFunction], tol: float, cap: int,
+    problem: ProblemSpec, grid: LogGrid, start: GridFunction,
+    shift: Optional[GridFunction], tol: float, cap: int, frozen: bool,
 ):
     """Iterate u <- Z (log t)^(gamma-1) + I^alpha F_u until the increment drops.
 
-    ``start`` is the first iterate, which must live on ``grid`` in the
-    weight class gamma; ``z_rule`` maps ``(I^nu F_u)(b)`` to Z and
-    ``shift`` is added to the right-hand side.  Returns (u, report) with
-    the boundary defect of u.  The map does not depend on the start, so a
-    start nearer its fixed point changes only the number of sweeps: a
-    contraction of modulus A stops within tol A/(1-A) of the fixed point
-    from any start.  A sweep whose increment is not finite ends the solve
-    in ``ConvergenceError``; numpy's overflow warnings on the way there are
-    silenced.
+    ``start`` is the first iterate.  ``frozen`` holds Z at its weighted
+    limit; otherwise the boundary data fix Z.  ``shift`` is added to the
+    right-hand side.  Returns (u, report) with the boundary defect of u.
+    The map does not depend on the start, so a start nearer its fixed
+    point changes only the number of sweeps: a contraction of modulus A
+    stops within tol A/(1-A) of the fixed point from any start.  A sweep
+    whose increment is not finite ends the solve in ``ConvergenceError``;
+    numpy's overflow warnings on the way there are silenced.
     """
     if cap < 1 or not 0.0 < tol < math.inf:
         raise DomainError(
             f"need cap >= 1 and a finite tol > 0, got cap={cap!r}, tol={tol!r}"
         )
-    gamma = problem.order.gamma
-    if start.grid != grid or start.gamma_weight != gamma:
-        raise GridMismatchError(
-            "start must live on the solve grid, in the weight class of the problem"
-        )
-    sweep = _Sweep(problem, grid, shift)
+    sweep = _Sweep(problem, grid, start, shift, frozen)
     u = start.weighted_values
 
     def step(u):
         """(F_u, Q u, sup |Q u - u|) on weighted arrays."""
-        f_values = sweep.rhs_values(float(u[0]), u[1:] * sweep.to_raw)
-        u_next = sweep.apply(f_values, z_rule)
+        f_values = sweep.rhs_values(u)
+        u_next = sweep.apply(f_values)
         return f_values, u_next, float(np.max(np.abs(u_next - u)))
 
     history = []
@@ -212,8 +201,8 @@ def _solve(
     # residual against one more application of the operator; its F_u is
     # the right-hand side at the returned iterate
     f_values, _, residual = step(u)
-    solution, f_grid = GridFunction(grid, gamma, u), GridFunction(grid, gamma, f_values)
-    return solution, SolveReport(
+    f_grid = GridFunction(grid, sweep.gamma, f_values)
+    return GridFunction(grid, sweep.gamma, u), SolveReport(
         iterations=len(history), final_update_norm=history[-1],
         residual_norm=residual, bc_defect=sweep.bc_defect(u, f_values),
         inner_iteration_max=1, F_u=f_grid,
@@ -239,7 +228,7 @@ def picard_solve(
         )
     g = problem.order.gamma
     z0 = problem.phi / ((problem.c1 + problem.c2) * math.gamma(g))
-    return _solve(problem, grid, _z_rule(problem), log_power(grid, g, g - 1.0, z0), None, tol, cap)
+    return _solve(problem, grid, log_power(grid, g, g - 1.0, z0), None, tol, cap, frozen=False)
 
 
 def solve_with_fixed_constant(
@@ -260,8 +249,7 @@ def solve_with_fixed_constant(
     starts with the same weighted limit share the fixed point and give
     solutions within 2 tol A/(1-A) of each other in the weighted sup norm.
     """
-    z = start.weighted_limit
-    return _solve(problem, grid, lambda tail: z, start, shift, tol, cap)
+    return _solve(problem, grid, start, shift, tol, cap, frozen=True)
 
 
 def residual_fide(u: GridFunction, problem: ProblemSpec) -> float:
@@ -274,13 +262,13 @@ def residual_fide(u: GridFunction, problem: ProblemSpec) -> float:
     refinement; on the right it is 2 nodes.
     """
     grid = u.grid
-    d = hilfer_hadamard_derivative(u, problem.order)
-    sweep = _Sweep(problem, grid)
+    sweep = _Sweep(problem, grid, u, role="u")
     lo = max(2, grid.n_panels // 64) + 1
     hi = grid.n_panels - 2
     if lo > hi:
         raise DomainError("grid too coarse for an interior residual window")
-    f_raw = sweep.rhs_values(u.weighted_limit, u.raw_tail())[1:]
+    d = hilfer_hadamard_derivative(u, problem.order)
+    f_raw = sweep.rhs_values(u.weighted_values)[1:]
     f_raw *= sweep.to_raw
     # in place, so the residual adds no grid-sized temporaries to the peak
     # memory of a large solve

@@ -491,6 +491,14 @@ class TestCli:
             ),
             *(
                 pytest.param(
+                    ["solve"], SECTION5_CFG.replace("beta = 2/3", f"beta = {beta}"),
+                    f"{{cfg}}:2: beta: order requires 0 <= beta_type <= 1, got {shown}",
+                    id=f"beta-{beta}",
+                )
+                for beta, shown in (("2", "2.0"), ("nan", "nan"))
+            ),
+            *(
+                pytest.param(
                     [command],
                     SECTION5_CFG.replace("paper-example", "affine-in-uv")
                     + "rhs.a = 8.915\npanels = 8\n",

@@ -463,12 +463,25 @@ class TestGridMismatch:
             lambda grid: log_power(LogGrid(math.e, 256), ORDER.gamma, 0.0),
             lambda grid: log_power(LogGrid(2.0, grid.n_panels), ORDER.gamma, 0.0),
             lambda grid: log_power(grid, 0.5, 0.0),
+            lambda grid: log_power(grid, 0.9, 0.0),
         ],
-        ids=["panels", "interval", "weight-class"],
+        ids=["panels", "interval", "weight-class", "weight-class-above"],
     )
     def test_start_on_another_grid_or_weight_class_rejected(self, section5, grid512, start):
         with pytest.raises(GridMismatchError, match="start must live on the solve grid"):
             solve_with_fixed_constant(section5, grid512, start(grid512))
+
+    # apply_Q and residual_fide take their grid from u, so u has no other
+    # panel count to be on; test_grid_on_another_interval_rejected covers
+    # their interval case
+    @pytest.mark.parametrize("gamma_weight", [0.5, 0.9])
+    @pytest.mark.parametrize("entry", [apply_Q, residual_fide], ids=["apply_Q", "residual"])
+    def test_operand_in_another_weight_class_rejected(
+        self, section5, grid512, entry, gamma_weight
+    ):
+        u = log_power(grid512, gamma_weight, 0.0)
+        with pytest.raises(GridMismatchError, match="u must live on the solve grid"):
+            entry(u, section5)
 
 
 class TestStart:
