@@ -44,6 +44,8 @@ from .stability import (
 from .verify import run_convergence_suite, run_identity_suite
 
 SOLUTION_HEADER = "t,log_t,weighted_value,raw_value,F_u"
+# rows of the solution CSV formatted per write
+_CSV_BLOCK = 1024
 
 # the reference problem that ``example`` runs
 EXAMPLE_CONFIG = (
@@ -51,8 +53,12 @@ EXAMPLE_CONFIG = (
 )
 
 
+def _open(path: str):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open(path) as fh:
         fh.write(text)
 
 
@@ -63,18 +69,18 @@ def _emit(text: str, out: Optional[str]):
     sys.stdout.write(text)
 
 
-def _solution_csv(u, f_grid) -> str:
+def _solution_csv(u, f_grid, fh):
+    """Write the solution CSV to the text file ``fh``, ``_CSV_BLOCK`` rows at
+    a time, so no string of the whole file is built."""
     grid = u.grid
     x = grid.log_nodes
     t = grid.nodes
     # node 0: raw values may be unbounded; weighted limits are the record
-    lines = [SOLUTION_HEADER, f"{float(t[0])!r},{float(x[0])!r},{u.weighted_limit!r},,"]
+    fh.write(f"{SOLUTION_HEADER}\n{float(t[0])!r},{float(x[0])!r},{u.weighted_limit!r},,\n")
     columns = (t[1:], x[1:], u.weighted_values[1:], u.raw_tail(), f_grid.raw_tail())
-    lines.extend(
-        f"{ti!r},{xi!r},{wi!r},{ui!r},{fi!r}"
-        for ti, xi, wi, ui, fi in zip(*(map(float, col) for col in columns))
-    )
-    return "\n".join(lines) + "\n"
+    for start in range(0, grid.n_panels, _CSV_BLOCK):
+        block = (map(repr, col[start : start + _CSV_BLOCK].tolist()) for col in columns)
+        fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _report_lines(report) -> str:
@@ -87,19 +93,20 @@ def _report_lines(report) -> str:
     )
 
 
-def _solve_record(config: RunConfig, out: Optional[str]) -> str:
-    """The solve's report, after writing its CSV to ``out``: a failing
-    ``--out`` leaves stdout empty."""
+def _solve_record(config: RunConfig, out: Optional[str]):
+    """(solution, the solve's report), after writing its CSV to ``out``: a
+    failing ``--out`` leaves stdout empty."""
     grid = config.grid()
     problem = config.problem(grid)
     u, report = picard_solve(problem, grid, tol=config.tol, cap=config.cap)
     if out is not None:
-        _write(out, _solution_csv(u, report.F_u))
-    return _report_lines(report) + f"fide_residual = {residual_fide(u, problem)!r}\n"
+        with _open(out) as fh:
+            _solution_csv(u, report.F_u, fh)
+    return u, _report_lines(report) + f"fide_residual = {residual_fide(u, problem)!r}\n"
 
 
 def cmd_solve(config: RunConfig, out: Optional[str]) -> int:
-    sys.stdout.write(_solve_record(config, out))
+    sys.stdout.write(_solve_record(config, out)[1])
     return 0
 
 
@@ -128,13 +135,14 @@ def _perturbations(config: RunConfig, grid) -> list[PerturbationSpec]:
     return [PerturbationSpec(kind, eps) for eps in config.epsilons]
 
 
-def cmd_stability(config: RunConfig, out: Optional[str]) -> int:
+def cmd_stability(config: RunConfig, out: Optional[str], solution=None) -> int:
+    """``solution``, when given, is the configured problem's solution."""
     grid = config.grid()
     problem = config.problem(grid)
     lam = config.rassias_lambda_phi if config.stability_mode == "uhr" else None
     verdicts = run_experiments(
         problem, _perturbations(config, grid), grid, lam,
-        tol=config.tol, cap=config.cap,
+        tol=config.tol, cap=config.cap, solution=solution,
     )
     _emit(verdicts_to_csv(verdicts), out)
     return 0 if all(v.passed for v in verdicts) else 1
@@ -153,13 +161,13 @@ def cmd_verify(level: str) -> int:
 
 
 def cmd_example(config: RunConfig, out: Optional[str]) -> int:
-    solved = _solve_record(config, out)
+    u, solved = _solve_record(config, out)
     rhs = paper_example_rhs()
     for name in ("K_f", "L_f", "delta_star", "sigma_star", "rho_star"):
         print(f"{name} = {getattr(rhs, name)!r}")
     certified = cmd_certify(config, None) == 0
     sys.stdout.write(solved)
-    stable = cmd_stability(config, None) == 0
+    stable = cmd_stability(config, None, u) == 0
     return 0 if certified and stable else 1
 
 

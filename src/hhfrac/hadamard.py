@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -156,22 +156,37 @@ class QuadraturePlan:
             return 0.0
         return split.w0 * gamma_ratio(split.gamma_weight, -self.mu)
 
+    def work_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Output arrays for the two FFTs of :meth:`weighted_integral`: the
+        product spectrum (``fft_size//2 + 1`` complex) and the inverse
+        transform (``fft_size`` reals)."""
+        return np.empty(self.fft_size // 2 + 1, dtype=complex), np.empty(self.fft_size)
+
     def weighted_integral(
-        self, split: LeadingModeSplit, to_weighted: np.ndarray, x: np.ndarray
+        self, split: LeadingModeSplit, to_weighted: np.ndarray, x: np.ndarray,
+        x_mu: Optional[np.ndarray] = None,
+        work: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
         """Weighted I^mu at nodes 0..N; ``x`` and ``to_weighted`` are
-        ``log t`` and ``x^(1-gamma_weight)`` at nodes 1..N."""
+        ``log t`` and ``x^(1-gamma_weight)`` at nodes 1..N.
+
+        ``x_mu``, when given, is ``x**mu``, computed by the caller.  ``work``,
+        when given, is a pair from :meth:`work_arrays` that the FFTs write
+        into instead of allocating; the returned array never shares memory
+        with it.
+        """
         size = self.fft_size
-        spectrum = np.fft.rfft(split.g, size)
+        product, padded = work if work is not None else (None, None)
+        spectrum = np.fft.rfft(split.g, size, out=product)
         spectrum *= self.spectrum
-        raw = np.fft.irfft(spectrum, size)[: self.n_panels]
+        raw = np.fft.irfft(spectrum, size, out=padded)[: self.n_panels]
         raw += split.g0 * self.a
         raw /= self.gamma_mu
         out = np.zeros(self.n_panels + 1)
-        out[1:] = raw * to_weighted
+        np.multiply(raw, to_weighted, out=out[1:])
         mode = self._mode(split)
         if mode != 0.0:
-            out[1:] += mode * x**self.mu
+            out[1:] += mode * (x**self.mu if x_mu is None else x_mu)
         return out
 
     def value_at_b(self, split: LeadingModeSplit, log_b: float) -> float:

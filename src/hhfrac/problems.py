@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -109,7 +110,10 @@ class ImplicitRoot:
             self.grid_part = rhs.params["g0"] + rhs.params["g1"] * np.log(t)
 
     def solve(self, u, shift=0.0, out=None):
-        """z at the nodes for raw values u; written into ``out`` when given."""
+        """z at the nodes for raw values u; written into ``out`` when given.
+
+        ``out`` may be ``u`` itself: u is read before ``out`` is written.
+        """
         kind = self.rhs.kind
         if kind == PAPER_EXAMPLE:
             c = self.grid_part
@@ -125,9 +129,10 @@ class ImplicitRoot:
             bq = 1.0 - aq
             bq -= np.copysign(c, q)
             root = bq * bq
-            root += 4.0 * aq
+            # out, when given, holds 4|q| until it takes w
+            root += np.multiply(aq, 4.0, out=out)
             np.sqrt(root, out=root)
-            w = root - bq
+            w = np.subtract(root, bq, out=out)
             w *= 0.5
             aq *= 2.0
             np.add(bq, root, out=root)
@@ -299,25 +304,46 @@ def manufactured_solution(problem: ProblemSpec, grid: LogGrid) -> GridFunction:
     )
 
 
-@dataclass(frozen=True)
 class SolveReport:
     """Outcome of a successive-approximation solve.
 
-    ``F_u`` is the implicit right-hand side at the returned iterate, in the
-    solution's weight class.  ``inner_iteration_max`` is always 1: every
-    catalog entry solves its implicit equation in one closed-form step.
+    ``iterations``, ``final_update_norm`` and ``inner_iteration_max`` are
+    set by the solve.  ``inner_iteration_max`` is always 1: every catalog
+    entry solves its implicit equation in one closed-form step.
+
+    ``residual_norm`` (the increment of one more application of the map),
+    ``bc_defect`` and ``F_u`` (the implicit right-hand side at the returned
+    iterate, in the solution's weight class) are computed together on the
+    first read of any of them, by the solve's ``finish`` callable, which
+    returns all three; later reads return the stored values.  A report
+    that is never read for them costs no extra work.
     """
 
-    iterations: int
-    final_update_norm: float
-    residual_norm: float
-    bc_defect: float
-    inner_iteration_max: int
-    F_u: GridFunction
-
-    def __post_init__(self):
-        if self.iterations < 0 or self.inner_iteration_max < 0:
+    def __init__(self, iterations: int, final_update_norm: float,
+                 inner_iteration_max: int, finish: Callable[[], tuple]):
+        if iterations < 0 or inner_iteration_max < 0:
             raise ValueError("iteration counts must be nonnegative")
-        for name in ("final_update_norm", "residual_norm", "bc_defect"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+        if final_update_norm < 0.0:
+            raise ValueError("final_update_norm must be nonnegative")
+        self.iterations = iterations
+        self.final_update_norm = final_update_norm
+        self.inner_iteration_max = inner_iteration_max
+        self._finish = finish
+
+    @cached_property
+    def _finished(self) -> tuple:
+        values = self._finish()
+        self._finish = None  # release what the solve left for it
+        return values
+
+    @property
+    def residual_norm(self) -> float:
+        return self._finished[0]
+
+    @property
+    def bc_defect(self) -> float:
+        return self._finished[1]
+
+    @property
+    def F_u(self) -> GridFunction:
+        return self._finished[2]

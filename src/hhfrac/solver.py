@@ -11,8 +11,10 @@ once, in closed form per catalog entry (unique because L_f < 1).
 data.  ``solve_with_fixed_constant`` freezes Z at its start's weighted
 limit: a perturbed re-solve starts at the unperturbed solution, and an
 initial-value solve ``(I^(1-gamma) u)(1+) = u0`` at the critical mode with
-coefficient ``u0 / Gamma(gamma)``.  Each returns ``(u, report)``; the
-report carries F_u at u and the boundary defect.
+coefficient ``u0 / Gamma(gamma)``.  Each returns ``(u, report)``.  The
+report's residual, boundary defect and F_u at u cost one more application
+of Q; it runs on the first read of any of them, and never when none is
+read.
 
 Every entry point, ``apply_Q`` and ``residual_fide`` too, builds one sweep
 from its iterate.  The sweep checks the grid, the iterate and any shift
@@ -21,16 +23,19 @@ problem's, and for an iterate or shift on another grid or weight class.
 A solve whose iterates overflow raises ``ConvergenceError``.
 
 The sweeps run on weighted numpy arrays, with the per-solve data built
-once.  F_u is split into its leading mode and remainder once per sweep,
-for both Z and ``I^alpha F_u``.  The operations are those of the
-grid-function operators, in the same order, so a solve is bit for bit
-what ``hadamard_integral`` and ``integral_value_at_b`` give sweep by sweep.
+once.  A solve's sweeps reuse two FFT work arrays, so a steady-state sweep
+allocates no grid-sized transform output.  F_u is split into its leading
+mode and remainder once per sweep, for both Z and ``I^alpha F_u``.  The
+operations are those of the grid-function operators, in the same order, so
+a solve is bit for bit what ``hadamard_integral`` and
+``integral_value_at_b`` give sweep by sweep.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -56,7 +61,9 @@ class _Sweep:
     ``u`` in that error.  Z is fixed by the boundary data from
     ``(I^nu F_u)(b)``, nu = 1 - gamma + alpha, or, when ``frozen``, held
     at u's weighted limit.  The powers of x, the raw shift, the implicit
-    root and the quadrature plans are built here, once.
+    root, the quadrature plans and the FFT work arrays are built here,
+    once; x^alpha on its first use.  ``work`` may be dropped (set to None),
+    after which the transforms allocate their outputs again.
     """
 
     def __init__(
@@ -85,6 +92,7 @@ class _Sweep:
         self.shift_raw = shift.raw_tail() if shift is not None else 0.0
         self.shift_limit = shift.weighted_limit if shift is not None else 0.0
         self.alpha_plan = quadrature_plan(order.alpha, grid.h, grid.n_panels)
+        self.work = self.alpha_plan.work_arrays()
         self.log_b = math.log(grid.b)
         self.z = u.weighted_limit if frozen else None
         if not frozen:
@@ -93,11 +101,17 @@ class _Sweep:
             self.gamma_g = math.gamma(g)
             self.nu_plan = quadrature_plan(1.0 - g + order.alpha, grid.h, grid.n_panels)
 
+    @cached_property
+    def x_alpha(self) -> np.ndarray:
+        """x^alpha at nodes 1..N, the image of F's leading mode."""
+        return self.x ** self.alpha_plan.mu
+
     def rhs_values(self, u: np.ndarray) -> np.ndarray:
         """Weighted F_u (class gamma) for the weighted iterate u."""
         w = np.empty(self.grid.n_nodes)
         w[0] = self.rhs.weighted_limit(float(u[0]), self.gamma) + self.shift_limit
-        self.root.solve(u[1:] * self.to_raw, self.shift_raw, out=w[1:])
+        raw = np.multiply(u[1:], self.to_raw, out=w[1:])
+        self.root.solve(raw, self.shift_raw, out=raw)
         w[1:] *= self.to_weighted
         return w
 
@@ -108,7 +122,10 @@ class _Sweep:
         if z is None:
             tail = self.nu_plan.value_at_b(split, self.log_b)
             z = (self.phi_csum - self.c2_csum * tail) / self.gamma_g
-        u_next = self.alpha_plan.weighted_integral(split, self.to_weighted, self.x)
+        u_next = self.alpha_plan.weighted_integral(
+            split, self.to_weighted, self.x,
+            self.x_alpha if split.w0 != 0.0 else None, self.work,
+        )
         u_next += z
         return u_next
 
@@ -158,7 +175,8 @@ def _solve(
 
     ``start`` is the first iterate.  ``frozen`` holds Z at its weighted
     limit; otherwise the boundary data fix Z.  ``shift`` is added to the
-    right-hand side.  Returns (u, report) with the boundary defect of u.
+    right-hand side.  Returns (u, report); the report's residual, boundary
+    defect and F_u come from one more application at u on their first read.
     The map does not depend on the start, so a start nearer its fixed
     point changes only the number of sweeps: a contraction of modulus A
     stops within tol A/(1-A) of the fixed point from any start.  A sweep
@@ -198,14 +216,20 @@ def _solve(
                 f"(last increment {history[-1]:.3e})",
                 history=history,
             )
-    # residual against one more application of the operator; its F_u is
-    # the right-hand side at the returned iterate
-    f_values, _, residual = step(u)
-    f_grid = GridFunction(grid, sweep.gamma, f_values)
-    return GridFunction(grid, sweep.gamma, u), SolveReport(
+    solution = GridFunction(grid, sweep.gamma, u)
+    # an unread report must not pin the work arrays
+    sweep.work = None
+
+    def finish():
+        """Residual against one more application of Q; its F_u is the
+        right-hand side at the returned iterate."""
+        u = solution.weighted_values
+        f_values, _, residual = step(u)
+        return residual, sweep.bc_defect(u, f_values), GridFunction(grid, sweep.gamma, f_values)
+
+    return solution, SolveReport(
         iterations=len(history), final_update_norm=history[-1],
-        residual_norm=residual, bc_defect=sweep.bc_defect(u, f_values),
-        inner_iteration_max=1, F_u=f_grid,
+        inner_iteration_max=1, finish=finish,
     )
 
 

@@ -160,14 +160,18 @@ def run_experiments(
     problem: ProblemSpec, perturbations: list[PerturbationSpec], grid: LogGrid,
     lambda_phi: Optional[float] = None,
     tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
+    solution: Optional[GridFunction] = None,
 ) -> list[StabilityVerdict]:
     """One verdict per perturbation, all against a single unperturbed solve.
 
     Ulam-Hyers mode when ``lambda_phi`` is None, Rassias mode otherwise.
-    Every check runs before any solve: the certificate (one, or one per
-    distinct phi profile once lambda_phi is machine-verified against it),
-    the contraction A < 1, and that each realized perturbation lives on
-    ``grid`` in the weight class gamma and is admissible.  Each re-solve
+    ``solution``, when given, is that unperturbed solve's result,
+    ``picard_solve(problem, grid, tol, cap)``, which a caller already
+    holds; it is used instead of solving again.  Every check runs before
+    any solve: the certificate (one, or one per distinct phi profile once
+    lambda_phi is machine-verified against it), the contraction A < 1,
+    that each realized perturbation lives on ``grid`` in the weight class
+    gamma and is admissible, and that ``solution`` does too.  Each re-solve
     starts at the unperturbed solution, so the perturbed solutions share
     its weighted limit at 1+.
     """
@@ -200,7 +204,14 @@ def run_experiments(
             )
         _assert_admissible(h, p, rassias=rassias)
         shifts.append(h)
-    u, _ = picard_solve(problem, grid, tol=tol, cap=cap)
+    if solution is None:
+        u, _ = picard_solve(problem, grid, tol=tol, cap=cap)
+    elif solution.grid != grid or solution.gamma_weight != problem.order.gamma:
+        raise GridMismatchError(
+            "solution must live on the solve grid, in the weight class of the problem"
+        )
+    else:
+        u = solution
     u_raw = u.raw_tail()
     verdicts = []
     for p, h in zip(perturbations, shifts):

@@ -1,3 +1,4 @@
+import io
 import math
 from dataclasses import FrozenInstanceError
 from pathlib import Path
@@ -702,8 +703,12 @@ def loop_solution_csv(u, f_grid):
 
 
 @pytest.mark.parametrize("panels", [5, 64, 513])
-def test_solution_csv_matches_indexed_loop(panels):
+def test_solution_csv_matches_indexed_loop(panels, monkeypatch):
+    # 64-row blocks: 5 panels fill part of one, 64 exactly one, 513 spill into a ninth
+    monkeypatch.setattr("hhfrac.cli._CSV_BLOCK", 64)
     u, report = picard_solve(paper_example_problem(), LogGrid(math.e, panels))
-    text = _solution_csv(u, report.F_u)
+    buffer = io.StringIO()
+    _solution_csv(u, report.F_u, buffer)
+    text = buffer.getvalue()
     assert text == loop_solution_csv(u, report.F_u)
     assert len(text.splitlines()) == panels + 2

@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import reference_values as ref
 from oracles import reference_implicit_solution, reference_rhs
+from hhfrac import solver, stability
 from hhfrac.certificates import uniqueness_constant
 from hhfrac.errors import ConvergenceError, DomainError, GridMismatchError
 from hhfrac.grids import GridFunction, LogGrid, Order, log_power, weighted_norm
@@ -20,12 +23,14 @@ from hhfrac.problems import (
     paper_example_rhs,
     table_rhs,
 )
+from hhfrac.hadamard import QuadraturePlan, quadrature_plan
 from hhfrac.solver import (
     apply_Q,
     picard_solve,
     residual_fide,
     solve_with_fixed_constant,
 )
+from hhfrac.stability import PerturbationSpec, run_experiments
 
 ORDER = Order(1.0 / 3.0, 2.0 / 3.0)
 
@@ -234,6 +239,9 @@ class TestImplicitRoot:
             out = np.full(t.size + 1, np.nan)
             root.solve(u, shift, out=out[1:])
             assert out[1:].tobytes() == expected
+            in_place = u.copy()
+            root.solve(in_place, shift, out=in_place)
+            assert in_place.tobytes() == expected
             assert ImplicitRoot(rhs, t).solve(u, shift).tobytes() == expected
         assert u.tobytes() == u_before.tobytes()
 
@@ -425,6 +433,130 @@ class TestPicardSolve:
         with pytest.warns(UserWarning, match="contraction"):
             with pytest.raises(ConvergenceError):
                 picard_solve(problem, grid512, cap=30)
+
+
+def count_applications(monkeypatch):
+    """Count applications of Q (``_Sweep.apply`` calls); returns the call list."""
+    calls = []
+    original = solver._Sweep.apply
+
+    def counted(self, f_values):
+        calls.append(self)
+        return original(self, f_values)
+
+    monkeypatch.setattr(solver._Sweep, "apply", counted)
+    return calls
+
+
+def record_work_arrays(monkeypatch):
+    """Record every work pair handed to ``QuadraturePlan.weighted_integral``."""
+    seen = []
+    original = QuadraturePlan.weighted_integral
+
+    def recorded(self, split, to_weighted, x, x_mu=None, work=None):
+        if work is not None:
+            seen.append(work)
+        return original(self, split, to_weighted, x, x_mu, work)
+
+    monkeypatch.setattr(QuadraturePlan, "weighted_integral", recorded)
+    return seen
+
+
+# a != 0 gives F a nonzero weighted limit, so the x^alpha mode term runs
+AFFINE = posed(affine_rhs(0.3, -0.2, 0.25, 0.3, math.e), phi=0.8)
+FIELDS = ("residual_norm", "bc_defect", "F_u")
+
+
+def solve_entry(entry, problem, grid):
+    if entry == "picard":
+        return picard_solve(problem, grid)
+    h = log_power(grid, ORDER.gamma, 0.0, coeff=1e-3)
+    return solve_with_fixed_constant(problem, grid, critical_mode(grid, 0.6), shift=h)
+
+
+def report_values(report):
+    return report.residual_norm, report.bc_defect, report.F_u.weighted_values.tobytes()
+
+
+class TestDeferredReport:
+    """A report computes its residual, defect and F_u on first read, from one
+    more application of Q, and a solve reuses two FFT work arrays."""
+
+    @pytest.mark.parametrize("first", FIELDS)
+    @pytest.mark.parametrize("entry", ["picard", "fixed"])
+    @pytest.mark.parametrize("problem", [paper_example_problem(), AFFINE], ids=["paper", "affine"])
+    def test_one_application_on_first_read(self, monkeypatch, grid512, problem, entry, first):
+        applied = count_applications(monkeypatch)
+        _, report = solve_entry(entry, problem, grid512)
+        assert len(applied) == report.iterations > 1
+        getattr(report, first)
+        assert len(applied) == report.iterations + 1
+        for name in FIELDS + FIELDS:
+            getattr(report, name)
+        assert len(applied) == report.iterations + 1
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_stability_applies_q_once_per_sweep(self, monkeypatch, grid512, count):
+        applied = count_applications(monkeypatch)
+        reports = []
+        for name in ("picard_solve", "solve_with_fixed_constant"):
+            original = getattr(stability, name)
+
+            def recorded(*args, _original=original, **kwargs):
+                u, report = _original(*args, **kwargs)
+                reports.append(report)
+                return u, report
+
+            monkeypatch.setattr(stability, name, recorded)
+        epsilons = (1e-1, 1e-2, 1e-3, 1e-4)[:count]
+        run_experiments(
+            paper_example_problem(), [PerturbationSpec("constant", e) for e in epsilons], grid512
+        )
+        assert len(reports) == 1 + count
+        assert len(applied) == sum(r.iterations for r in reports)
+
+    @pytest.mark.parametrize("entry", ["picard", "fixed"])
+    @pytest.mark.parametrize("problem", [paper_example_problem(), AFFINE], ids=["paper", "affine"])
+    def test_outputs_never_share_the_work_arrays(self, monkeypatch, grid512, problem, entry):
+        work = record_work_arrays(monkeypatch)
+        u, report = solve_entry(entry, problem, grid512)
+        q = apply_Q(u, problem)
+        assert len(work) == report.iterations + 1
+        arrays = [array for pair in work for array in pair]
+        for out in (u, report.F_u, q):
+            assert not any(np.shares_memory(out.weighted_values, a) for a in arrays)
+
+    def test_solve_reuses_one_pair(self, monkeypatch, grid512):
+        work = record_work_arrays(monkeypatch)
+        _, report = picard_solve(paper_example_problem(), grid512)
+        assert len(work) == report.iterations > 1
+        assert all(pair is work[0] for pair in work)
+        size = quadrature_plan(ORDER.alpha, grid512.h, grid512.n_panels).fft_size
+        assert work[0][0].shape == (size // 2 + 1,) and work[0][0].dtype == complex
+        assert work[0][1].shape == (size,) and work[0][1].dtype == float
+
+    def test_unread_report_does_not_pin_the_work_arrays(self, monkeypatch, grid512):
+        work = record_work_arrays(monkeypatch)
+        _, report = picard_solve(AFFINE, grid512)
+        refs = [weakref.ref(a) for a in work[0]]
+        work.clear()
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+        assert report.residual_norm <= 1e-10
+
+    @pytest.mark.parametrize("entry", ["picard", "fixed"])
+    @pytest.mark.parametrize("problem", [paper_example_problem(), AFFINE], ids=["paper", "affine"])
+    def test_late_read_is_bitwise_the_prompt_one(self, grid512, problem, entry):
+        u, report = solve_entry(entry, problem, grid512)
+        prompt = report_values(report)
+        u_again, late = solve_entry(entry, problem, grid512)
+        # other solves and applications on the same grid run in between
+        for other in (AFFINE, paper_example_problem(), zero_problem()):
+            _, other_report = picard_solve(other, grid512)
+            other_report.F_u
+            apply_Q(u, other)
+        assert u_again.weighted_values.tobytes() == u.weighted_values.tobytes()
+        assert report_values(late) == prompt
 
 
 class TestGridMismatch:

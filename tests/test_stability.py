@@ -355,6 +355,60 @@ class TestSharedUnperturbedSolve:
         assert len(solves) == 1
 
 
+class TestGivenSolution:
+    """``run_experiments(..., solution=u)`` uses u instead of solving again."""
+
+    @pytest.mark.parametrize("rassias", [False, True])
+    def test_same_verdicts_without_the_unperturbed_solve(
+        self, section5, grid512, section5_solution, monkeypatch, rassias
+    ):
+        phi = critical_profile(grid512)
+        perturbations = [
+            PerturbationSpec("log-power", eps, phi_profile=phi) if rassias
+            else PerturbationSpec("constant", eps)
+            for eps in EPSILONS
+        ]
+        lam = ref.LAMBDA_PHI_CRITICAL if rassias else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solved = run_experiments(section5, perturbations, grid512, lam)
+            solves = count_calls(monkeypatch, "picard_solve")
+            given = run_experiments(
+                section5, perturbations, grid512, lam, solution=section5_solution[0]
+            )
+        assert solves == []
+        assert given == solved
+
+    @pytest.mark.parametrize("where", ["grid", "class"])
+    def test_mismatched_solution_before_any_solve(self, section5, grid512, monkeypatch, where):
+        solves = count_calls(monkeypatch, "picard_solve")
+        resolves = count_calls(monkeypatch, "solve_with_fixed_constant")
+        if where == "grid":
+            solution = log_power(LogGrid(math.e, 256), ORDER.gamma, 0.0, coeff=1.0)
+        else:
+            solution = log_power(grid512, 0.5, 0.0, coeff=1.0)
+        perturbations = [PerturbationSpec("constant", eps) for eps in EPSILONS]
+        with pytest.raises(GridMismatchError, match="solution must live on the solve grid"):
+            run_experiments(section5, perturbations, grid512, solution=solution)
+        assert solves == [] and resolves == []
+
+    def test_example_solves_unperturbed_once(self, monkeypatch, capsys):
+        import hhfrac.cli as cli_mod
+        from hhfrac.solver import picard_solve as original
+
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "picard_solve", counted)
+        monkeypatch.setattr(stability_mod, "picard_solve", counted)
+        assert cli_mod.main(["example", "--panels", "64"]) == 0
+        assert "\nUH,0.001," in capsys.readouterr().out
+        assert len(solves) == 1
+
+
 class TestWarmStart:
     """Every perturbed re-solve starts at the unperturbed solution u.
 
