@@ -218,7 +218,8 @@ def build_certificate(
     + 1e-9 at every node i >= 1 of a profile positive there; a non-monotone
     profile (the canonical (log t)^(gamma-1) one is decreasing) passes with
     a warning naming the caller, since the classical statement assumes an
-    increasing one.  A C_f or C_f_phi that overflows raises MLOverflowError.
+    increasing one.  A profile on another interval than the problem's raises
+    GridMismatchError.  A C_f or C_f_phi that overflows raises MLOverflowError.
     """
     omega, omega_pa, lam, radius = existence_constants(problem)
     a_const = uniqueness_constant(problem)
@@ -239,6 +240,7 @@ def build_certificate(
     if lambda_phi is not None:
         if phi_weight is None:
             raise DomainError("lambda_phi requires a phi profile to verify against")
+        problem.require_interval(phi_weight.grid)
         _verify_lambda_phi(problem, phi_weight, lambda_phi)
         # the displayed product carries lambda_phi twice
         try:

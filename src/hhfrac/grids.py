@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -168,6 +169,17 @@ class GridFunction:
         return GridFunction(self.grid, self.gamma_weight, self.weighted_values * scalar)
 
     __rmul__ = __mul__
+
+
+def require_space(
+    f: GridFunction, grid: LogGrid, gamma: Optional[float], role: str
+) -> GridFunction:
+    """``f``, once it lives on ``grid`` and, unless ``gamma`` is None, in the
+    weight class ``gamma``; ``role`` names it in the ``GridMismatchError``."""
+    if f.grid != grid or (gamma is not None and f.gamma_weight != gamma):
+        within = "" if gamma is None else ", in the weight class of the problem"
+        raise GridMismatchError(f"{role} must live on the solve grid{within}")
+    return f
 
 
 def weighted_norm(f: GridFunction) -> float:

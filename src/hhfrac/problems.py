@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GridMismatchError
 from .grids import GridFunction, LogGrid, Order, log_power
 
 PAPER_EXAMPLE = "paper-example"
@@ -256,6 +256,13 @@ class ProblemSpec:
             raise DomainError("boundary condition requires c1 + c2 != 0")
         if self.c2 == 0.0:
             raise DomainError("boundary condition requires c2 != 0")
+
+    def require_interval(self, grid: LogGrid):
+        """Raise ``GridMismatchError`` unless ``grid`` spans the problem's [1, b]."""
+        if grid.b != self.b:
+            raise GridMismatchError(
+                f"grid on [1, {grid.b!r}] for a problem posed on [1, {self.b!r}]"
+            )
 
 
 def paper_example_problem(phi: float = 1.0) -> ProblemSpec:

@@ -41,8 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .certificates import uniqueness_constant
-from .errors import ConvergenceError, DomainError, GridMismatchError
-from .grids import GridFunction, LogGrid, log_power
+from .errors import ConvergenceError, DomainError
+from .grids import GridFunction, LogGrid, log_power, require_space
 from .hadamard import hilfer_hadamard_derivative, quadrature_plan, split_leading_mode
 from .problems import ImplicitRoot, ProblemSpec, SolveReport
 
@@ -70,20 +70,12 @@ class _Sweep:
         self, problem: ProblemSpec, grid: LogGrid, u: GridFunction,
         shift: Optional[GridFunction] = None, frozen: bool = False, role: str = "start",
     ):
-        if grid.b != problem.b:
-            raise GridMismatchError(
-                f"grid on [1, {grid.b!r}] for a problem posed on [1, {problem.b!r}]"
-            )
+        problem.require_interval(grid)
         order = problem.order
         g = order.gamma
-        if u.grid != grid or u.gamma_weight != g:
-            raise GridMismatchError(
-                f"{role} must live on the solve grid, in the weight class of the problem"
-            )
-        if shift is not None and (shift.grid != grid or shift.gamma_weight != g):
-            raise GridMismatchError(
-                "perturbation must live on the solve grid, in the weight class of the problem"
-            )
+        require_space(u, grid, g, role)
+        if shift is not None:
+            require_space(shift, grid, g, "perturbation")
         x = grid.log_nodes[1:]
         self.problem, self.rhs, self.gamma, self.grid, self.x = problem, problem.rhs, g, grid, x
         self.root = ImplicitRoot(problem.rhs, grid.nodes[1:])

@@ -3,14 +3,16 @@
 An experiment compares the solution u of the problem as given with the
 solution of the problem whose right-hand side is shifted by a constructed
 perturbation h, and checks the observed deviation against the certified
-bound (C_f epsilon for Ulam-Hyers, C_f_phi epsilon phi(t) nodewise for the
-Rassias variant).  C_f, C_f_phi and the contraction modulus A are read
-from :func:`~hhfrac.certificates.build_certificate`, the record that
+bound.  Every bound is constant * epsilon * shape: C_f epsilon for
+Ulam-Hyers (shape 1), C_f_phi epsilon phi(t) nodewise for the Rassias
+variant (shape phi).  The admissibility test |h| <= epsilon * shape uses
+the same shape.  C_f, C_f_phi and the contraction modulus A are read from
+one :func:`~hhfrac.certificates.build_certificate` record, the one that
 ``hhfrac certify`` prints.  u does not depend on h, so
 :func:`run_experiments` runs a whole list of perturbations against one
-unperturbed solve, after every certificate, contraction and admissibility
-check has passed; :func:`run_uh_experiment` is its one-perturbation
-Ulam-Hyers case.
+unperturbed solve, after every space, certificate, contraction and
+admissibility check has passed; :func:`run_uh_experiment` is its
+one-perturbation Ulam-Hyers case.
 
 The perturbed solution is *defined* as the solution of the h-shifted
 equation whose (log t)^(gamma-1) coefficient is frozen at the unperturbed
@@ -46,8 +48,8 @@ from typing import Optional
 import numpy as np
 
 from .certificates import build_certificate
-from .errors import DomainError, GridMismatchError
-from .grids import GridFunction, LogGrid
+from .errors import DomainError
+from .grids import GridFunction, LogGrid, require_space
 from .problems import ProblemSpec
 from .solver import DEFAULT_CAP, DEFAULT_TOL, picard_solve, solve_with_fixed_constant
 
@@ -104,20 +106,6 @@ class PerturbationSpec:
         return self.table
 
 
-def _assert_admissible(h: GridFunction, spec: PerturbationSpec, rassias: bool):
-    tol = 1e-12 * max(1.0, spec.epsilon)
-    if rassias:
-        cap = spec.epsilon * spec.phi_profile.raw_tail()
-    else:
-        cap = spec.epsilon
-    excess = np.abs(h.raw_tail()) - cap
-    if np.max(excess) > tol:
-        raise DomainError(
-            f"realized perturbation exceeds its admissibility bound by "
-            f"{float(np.max(excess)):.3e}"
-        )
-
-
 @dataclass(frozen=True)
 class StabilityVerdict:
     """Outcome of one stability experiment."""
@@ -167,65 +155,60 @@ def run_experiments(
     Ulam-Hyers mode when ``lambda_phi`` is None, Rassias mode otherwise.
     ``solution``, when given, is that unperturbed solve's result,
     ``picard_solve(problem, grid, tol, cap)``, which a caller already
-    holds; it is used instead of solving again.  Every check runs before
-    any solve: the certificate (one, or one per distinct phi profile once
-    lambda_phi is machine-verified against it), the contraction A < 1,
-    that each realized perturbation lives on ``grid`` in the weight class
-    gamma and is admissible, and that ``solution`` does too.  Each re-solve
+    holds; it is used instead of solving again.
+
+    Every check runs before any solve, in this order.  Each phi profile
+    must live on ``grid``.  One certificate serves the run, because
+    C_f_phi does not depend on the profile; each distinct profile still
+    verifies lambda_phi.  The contraction A < 1 must hold.  Each realized
+    perturbation, and ``solution``, must live on ``grid`` in the weight
+    class gamma, and each perturbation must be admissible.  Each re-solve
     starts at the unperturbed solution, so the perturbed solutions share
     its weighted limit at 1+.
     """
     perturbations = list(perturbations)
-    rassias = lambda_phi is not None
-    certificates = {}  # id(phi profile) -> its Rassias certificate
-    for p in perturbations if rassias else ():
+    g = problem.order.gamma
+    profiles = {}  # the distinct phi profiles of a Rassias run, by identity
+    for p in perturbations if lambda_phi is not None else ():
         if p.phi_profile is None:
             raise DomainError(
                 "Rassias experiments need a perturbation with a phi profile"
             )
-        if id(p.phi_profile) not in certificates:
-            certificates[id(p.phi_profile)] = build_certificate(
-                problem, p.phi_profile, lambda_phi
-            )
-    if not certificates:
-        # Ulam-Hyers mode, or no profile to verify lambda_phi against
-        certificates[None] = build_certificate(problem)
-    a_const = next(iter(certificates.values())).a_const
-    if a_const >= 1.0:
+        profiles[id(p.phi_profile)] = require_space(p.phi_profile, grid, None, "phi profile")
+    # each profile verifies lambda_phi; C_f_phi does not depend on the profile
+    certificates = [build_certificate(problem, phi, lambda_phi) for phi in profiles.values()]
+    certificate = certificates[0] if certificates else build_certificate(problem)
+    if certificate.a_const >= 1.0:
         raise DomainError(
-            f"stability experiments require a contraction (A = {a_const:.4f} >= 1)"
+            f"stability experiments require a contraction (A = {certificate.a_const:.4f} >= 1)"
         )
+    if lambda_phi is None:
+        constant, modes = certificate.c_f, (MODE_UH, MODE_GENERALIZED_UH)
+        shapes = [1.0] * len(perturbations)
+    else:
+        constant, modes = certificate.c_f_phi, (MODE_UHR, MODE_GENERALIZED_UHR)
+        tails = {key: phi.raw_tail() for key, phi in profiles.items()}
+        shapes = [tails[id(p.phi_profile)] for p in perturbations]
     shifts = []
-    for p in perturbations:
-        h = p.realize(grid, problem.order.gamma)
-        if h.grid != grid or h.gamma_weight != problem.order.gamma:
-            raise GridMismatchError(
-                "perturbation must live on the solve grid, in the weight class of the problem"
+    for p, shape in zip(perturbations, shapes):
+        h = require_space(p.realize(grid, g), grid, g, "perturbation")
+        excess = np.max(np.abs(h.raw_tail()) - p.epsilon * shape)
+        if excess > 1e-12 * max(1.0, p.epsilon):
+            raise DomainError(
+                f"realized perturbation exceeds its admissibility bound by {float(excess):.3e}"
             )
-        _assert_admissible(h, p, rassias=rassias)
         shifts.append(h)
     if solution is None:
         u, _ = picard_solve(problem, grid, tol=tol, cap=cap)
-    elif solution.grid != grid or solution.gamma_weight != problem.order.gamma:
-        raise GridMismatchError(
-            "solution must live on the solve grid, in the weight class of the problem"
-        )
     else:
-        u = solution
+        u = require_space(solution, grid, g, "solution")
     u_raw = u.raw_tail()
     verdicts = []
-    for p, h in zip(perturbations, shifts):
+    for p, h, shape in zip(perturbations, shifts, shapes):
         u_tilde, _ = solve_with_fixed_constant(problem, grid, start=u, shift=h, tol=tol, cap=cap)
         deviation = np.abs(u_tilde.raw_tail() - u_raw)
         wdev = abs(u_tilde.weighted_limit - u.weighted_limit)
-        if rassias:
-            constant = certificates[id(p.phi_profile)].c_f_phi
-            bounds = constant * p.epsilon * p.phi_profile.raw_tail()
-            modes = (MODE_UHR, MODE_GENERALIZED_UHR)
-        else:
-            constant = certificates[None].c_f
-            bounds = constant * p.epsilon
-            modes = (MODE_UH, MODE_GENERALIZED_UH)
+        bounds = constant * p.epsilon * shape
         verdicts.append(_verdict(modes, p.epsilon, deviation, bounds, constant, tol, wdev))
     return verdicts
 

@@ -4,6 +4,7 @@ names it reads."""
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import hhfrac
@@ -31,6 +32,26 @@ def test_no_private_imports_between_modules():
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+    assert offenders == []
+
+
+def test_library_imports_numpy_and_the_standard_library_only():
+    # the test extra installs scipy and mpmath, so an import of either
+    # would pass every other test
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[0] not in {"hhfrac", "numpy", *sys.stdlib_module_names}
+            ]
     assert offenders == []
 
 

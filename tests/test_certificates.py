@@ -14,7 +14,9 @@ from hhfrac.certificates import (
     uniqueness_constant,
 )
 from hhfrac.config import load_config
-from hhfrac.errors import CertificateRejected, ConvergenceError, DomainError, MLOverflowError
+from hhfrac.errors import (
+    CertificateRejected, ConvergenceError, DomainError, GridMismatchError, MLOverflowError,
+)
 from hhfrac.grids import LogGrid, Order, log_power, weighted_norm
 from hhfrac.problems import ProblemSpec, RhsSpec, affine_rhs
 from hhfrac.solver import picard_solve
@@ -262,6 +264,18 @@ class TestRassiasVerification:
         with pytest.raises(CertificateRejected) as err:
             build_certificate(section5, phi, lam)
         assert err.value.violations
+
+
+    def test_profile_on_another_interval_rejected(self, section5):
+        # on [1, 2] phi = 1 passes a lambda_phi that [1, e] rejects
+        lam = 0.9 / math.gamma(ORDER.alpha + 1.0)
+        with pytest.raises(CertificateRejected):
+            build_certificate(section5, log_power(LogGrid(section5.b, 512), ORDER.gamma, 0.0), lam)
+        phi = log_power(LogGrid(2.0, 512), ORDER.gamma, 0.0)
+        with pytest.raises(
+            GridMismatchError, match=r"grid on \[1, 2\.0\] for a problem posed on \[1, 2\.718"
+        ):
+            build_certificate(section5, phi, lam)
 
 
 class TestCertificateRecord:

@@ -342,6 +342,48 @@ class TestSharedUnperturbedSolve:
             run_experiments(section5, perturbations, grid512)
         assert solves == []
 
+    @pytest.mark.parametrize("where", [(math.e, 32), (2.0, 512)])
+    def test_profile_on_another_grid_before_any_certificate(
+        self, section5, grid512, monkeypatch, where
+    ):
+        # another panel count, or the solve's panel count on another interval
+        solves = count_calls(monkeypatch, "picard_solve")
+        constants = count_calls(monkeypatch, "build_certificate")
+        phi = log_power(LogGrid(*where), ORDER.gamma, 0.0)
+        perturbations = [PerturbationSpec("log-power", 1e-3, phi_profile=phi)]
+        with pytest.raises(GridMismatchError, match="phi profile must live on the solve grid"):
+            run_experiments(section5, perturbations, grid512, 1.5)
+        assert solves == [] and constants == []
+
+    def test_two_profiles_one_certificate_each(self, section5, grid512, monkeypatch):
+        lam = ref.LAMBDA_PHI_CRITICAL
+        perturbations = [
+            PerturbationSpec("log-power", 1e-3, phi_profile=phi)
+            for phi in (log_power(grid512, ORDER.gamma, 0.0), critical_profile(grid512))
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            single = [run_experiments(section5, [p], grid512, lam)[0] for p in perturbations]
+            constants = count_calls(monkeypatch, "build_certificate")
+            shared = run_experiments(section5, perturbations, grid512, lam)
+        assert [args[1] for args in constants] == [p.phi_profile for p in perturbations]
+        assert shared == single
+
+    def test_lambda_phi_verified_against_every_profile(self, section5, grid512, monkeypatch):
+        # 1.15 passes phi = 1 (sharp about 1.1198) but not the critical profile
+        solves = count_calls(monkeypatch, "picard_solve")
+        resolves = count_calls(monkeypatch, "solve_with_fixed_constant")
+        perturbations = [
+            PerturbationSpec("log-power", 1e-3, phi_profile=phi)
+            for phi in (log_power(grid512, ORDER.gamma, 0.0), critical_profile(grid512))
+        ]
+        run_experiments(section5, perturbations[:1], grid512, 1.15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(CertificateRejected):
+                run_experiments(section5, perturbations, grid512, 1.15)
+        assert len(solves) == 1 and len(resolves) == 1
+
     @pytest.mark.parametrize("name", ["sweep_uh", "sweep_uhr"])
     def test_cli_solves_unperturbed_once(self, name, monkeypatch, capsys):
         from hhfrac.cli import main
