@@ -93,20 +93,20 @@ def _report_lines(report) -> str:
     )
 
 
-def _solve_record(config: RunConfig, out: Optional[str]):
-    """(solution, the solve's report), after writing its CSV to ``out``: a
-    failing ``--out`` leaves stdout empty."""
+def _solve_record(config: RunConfig, out: Optional[str]) -> str:
+    """The solve's report, after writing its CSV to ``out``: a failing
+    ``--out`` leaves stdout empty."""
     grid = config.grid()
     problem = config.problem(grid)
     u, report = picard_solve(problem, grid, tol=config.tol, cap=config.cap)
     if out is not None:
         with _open(out) as fh:
             _solution_csv(u, report.F_u, fh)
-    return u, _report_lines(report) + f"fide_residual = {residual_fide(u, problem)!r}\n"
+    return _report_lines(report) + f"fide_residual = {residual_fide(u, problem)!r}\n"
 
 
 def cmd_solve(config: RunConfig, out: Optional[str]) -> int:
-    sys.stdout.write(_solve_record(config, out)[1])
+    sys.stdout.write(_solve_record(config, out))
     return 0
 
 
@@ -135,14 +135,13 @@ def _perturbations(config: RunConfig, grid) -> list[PerturbationSpec]:
     return [PerturbationSpec(kind, eps) for eps in config.epsilons]
 
 
-def cmd_stability(config: RunConfig, out: Optional[str], solution=None) -> int:
-    """``solution``, when given, is the configured problem's solution."""
+def cmd_stability(config: RunConfig, out: Optional[str]) -> int:
     grid = config.grid()
     problem = config.problem(grid)
     lam = config.rassias_lambda_phi if config.stability_mode == "uhr" else None
     verdicts = run_experiments(
         problem, _perturbations(config, grid), grid, lam,
-        tol=config.tol, cap=config.cap, solution=solution,
+        tol=config.tol, cap=config.cap,
     )
     _emit(verdicts_to_csv(verdicts), out)
     return 0 if all(v.passed for v in verdicts) else 1
@@ -161,13 +160,14 @@ def cmd_verify(level: str) -> int:
 
 
 def cmd_example(config: RunConfig, out: Optional[str]) -> int:
-    u, solved = _solve_record(config, out)
+    solved = _solve_record(config, out)
     rhs = paper_example_rhs()
     for name in ("K_f", "L_f", "delta_star", "sigma_star", "rho_star"):
         print(f"{name} = {getattr(rhs, name)!r}")
     certified = cmd_certify(config, None) == 0
     sys.stdout.write(solved)
-    stable = cmd_stability(config, None, u) == 0
+    # the unperturbed solve is the one above, kept by picard_solve
+    stable = cmd_stability(config, None) == 0
     return 0 if certified and stable else 1
 
 

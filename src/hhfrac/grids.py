@@ -175,8 +175,9 @@ def require_space(
     f: GridFunction, grid: LogGrid, gamma: Optional[float], role: str
 ) -> GridFunction:
     """``f``, once it lives on ``grid`` and, unless ``gamma`` is None, in the
-    weight class ``gamma``; ``role`` names it in the ``GridMismatchError``."""
-    if f.grid != grid or (gamma is not None and f.gamma_weight != gamma):
+    weight class ``gamma``, up to the tolerance that grid-function
+    arithmetic allows; ``role`` names it in the ``GridMismatchError``."""
+    if f.grid != grid or (gamma is not None and abs(f.gamma_weight - gamma) > _GAMMA_TOL):
         within = "" if gamma is None else ", in the weight class of the problem"
         raise GridMismatchError(f"{role} must live on the solve grid{within}")
     return f

@@ -63,7 +63,8 @@ class RhsSpec:
     def evaluate(self, t, u, v):
         """f(t, u, v), elementwise over numpy arrays or scalars."""
         if self.kind == PAPER_EXAMPLE:
-            c = 1.0 / (t * (2.0 + t))
+            with np.errstate(over="ignore"):  # t (2 + t) = inf near b = 1e300; 1/inf = 0
+                c = 1.0 / (t * (2.0 + t))
             su = np.abs(u) / (1.0 + np.abs(u))
             sv = np.abs(v) / (1.0 + np.abs(v))
             return c * (1.0 + su + sv)
@@ -105,7 +106,8 @@ class ImplicitRoot:
     def __init__(self, rhs: RhsSpec, t):
         self.rhs, self.t = rhs, t
         if rhs.kind == PAPER_EXAMPLE:
-            self.grid_part = 1.0 / (t * (2.0 + t))
+            with np.errstate(over="ignore"):  # t (2 + t) = inf near b = 1e300; 1/inf = 0
+                self.grid_part = 1.0 / (t * (2.0 + t))
         elif rhs.kind == AFFINE:
             self.grid_part = rhs.params["g0"] + rhs.params["g1"] * np.log(t)
 

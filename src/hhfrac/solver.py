@@ -8,8 +8,12 @@ The mixed-type integral form of the problem is
 Each Picard sweep applies that map, Q.  It solves for F_u at every node at
 once, in closed form per catalog entry (unique because L_f < 1).
 ``picard_solve`` starts at the constant part and fixes Z by the boundary
-data.  ``solve_with_fixed_constant`` freezes Z at its start's weighted
-limit: a perturbed re-solve starts at the unperturbed solution, and an
+data.  It keeps its last solve: a call whose problem, grid, tol and cap
+equal the previous call's returns that call's ``(u, report)``, so a caller
+that solves a problem and then runs stability experiments on it solves
+once.  The memo has one entry and pins one solve.
+``solve_with_fixed_constant`` freezes Z at its start's weighted limit: a
+perturbed re-solve starts at the unperturbed solution, and an
 initial-value solve ``(I^(1-gamma) u)(1+) = u0`` at the critical mode with
 coefficient ``u0 / Gamma(gamma)``.  Each returns ``(u, report)``.  The
 report's residual, boundary defect and F_u at u cost one more application
@@ -23,12 +27,12 @@ problem's, and for an iterate or shift on another grid or weight class.
 A solve whose iterates overflow raises ``ConvergenceError``.
 
 The sweeps run on weighted numpy arrays, with the per-solve data built
-once.  A solve's sweeps reuse two FFT work arrays, so a steady-state sweep
-allocates no grid-sized transform output.  F_u is split into its leading
-mode and remainder once per sweep, for both Z and ``I^alpha F_u``.  The
-operations are those of the grid-function operators, in the same order, so
-a solve is bit for bit what ``hadamard_integral`` and
-``integral_value_at_b`` give sweep by sweep.
+once.  A solve's sweeps reuse two FFT work arrays, built on the first
+sweep, so a steady-state sweep allocates no grid-sized transform output.
+F_u is split into its leading mode and remainder once per sweep, for both
+Z and ``I^alpha F_u``.  The operations are those of the grid-function
+operators, in the same order, so a solve is bit for bit what
+``hadamard_integral`` and ``integral_value_at_b`` give sweep by sweep.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ DEFAULT_CAP = 200
 # unused by the solver; perfbench/workloads.py reads it at import
 DEFAULT_INNER_CAP = 100
 
+# picard_solve's last call: ((problem, grid, tol, cap), (u, report)), or None
+_last_solve = None
+
 
 class _Sweep:
     """The fixed-point map Q on weighted arrays; it owns one call's inputs.
@@ -61,9 +68,9 @@ class _Sweep:
     ``u`` in that error.  Z is fixed by the boundary data from
     ``(I^nu F_u)(b)``, nu = 1 - gamma + alpha, or, when ``frozen``, held
     at u's weighted limit.  The powers of x, the raw shift, the implicit
-    root, the quadrature plans and the FFT work arrays are built here,
-    once; x^alpha on its first use.  ``work`` may be dropped (set to None),
-    after which the transforms allocate their outputs again.
+    root and the quadrature plans are built here, once; x^alpha and the
+    FFT work arrays on their first use.  ``work`` may be dropped (set to
+    None), after which the transforms allocate their outputs again.
     """
 
     def __init__(
@@ -84,7 +91,6 @@ class _Sweep:
         self.shift_raw = shift.raw_tail() if shift is not None else 0.0
         self.shift_limit = shift.weighted_limit if shift is not None else 0.0
         self.alpha_plan = quadrature_plan(order.alpha, grid.h, grid.n_panels)
-        self.work = self.alpha_plan.work_arrays()
         self.log_b = math.log(grid.b)
         self.z = u.weighted_limit if frozen else None
         if not frozen:
@@ -97,6 +103,11 @@ class _Sweep:
     def x_alpha(self) -> np.ndarray:
         """x^alpha at nodes 1..N, the image of F's leading mode."""
         return self.x ** self.alpha_plan.mu
+
+    @cached_property
+    def work(self) -> tuple[np.ndarray, np.ndarray]:
+        """The FFT work arrays of ``apply``; ``residual_fide`` never builds them."""
+        return self.alpha_plan.work_arrays()
 
     def rhs_values(self, u: np.ndarray) -> np.ndarray:
         """Weighted F_u (class gamma) for the weighted iterate u."""
@@ -140,7 +151,8 @@ class _Sweep:
         at_one = math.gamma(g) * float(u[0])
         correction = 0.0
         if self.grid.n_panels >= 3:
-            f_at_one = split_leading_mode(f_values[:4], g, self.to_raw[:3]).g0
+            # a Python float, so a product that overflows is inf without a numpy warning
+            f_at_one = float(split_leading_mode(f_values[:4], g, self.to_raw[:3]).g0)
             mode_coeff = f_at_one / math.gamma(alpha + 1.0)
             u = u.copy()
             u[1:] -= mode_coeff * self.x ** (1.0 - g + alpha)
@@ -233,18 +245,33 @@ def picard_solve(
 
     The starting iterate is the constant part, a critical mode (exact
     when F = 0).  A contraction modulus >= 1 only triggers a
-    warning: the iteration may still converge, and existence can hold
-    without uniqueness.
+    warning, on every call: the iteration may still converge, and
+    existence can hold without uniqueness.
+
+    A call whose arguments equal the previous call's returns the same
+    ``(solution, report)`` pair without solving again.  Equal means equal
+    by value and with the same repr, so that -0.0 and 0.0 differ; a
+    ``custom-table`` right-hand side compares its table by identity.  One
+    entry is kept, so at most one solve stays pinned, and a solve that
+    raises is not kept.  Sharing is safe: grid functions are read-only,
+    and a report finishes once.
     """
+    global _last_solve
     a_const = uniqueness_constant(problem)
     if a_const >= 1.0:
         warnings.warn(
             f"contraction constant {a_const:.4g} >= 1; successive approximation "
             "may diverge", stacklevel=2
         )
+    key = (problem, grid, tol, cap)
+    last = _last_solve
+    if last is not None and last[0] == key and repr(last[0]) == repr(key):
+        return last[1]
     g = problem.order.gamma
     z0 = problem.phi / ((problem.c1 + problem.c2) * math.gamma(g))
-    return _solve(problem, grid, log_power(grid, g, g - 1.0, z0), None, tol, cap, frozen=False)
+    result = _solve(problem, grid, log_power(grid, g, g - 1.0, z0), None, tol, cap, frozen=False)
+    _last_solve = (key, result)
+    return result
 
 
 def solve_with_fixed_constant(

@@ -12,7 +12,9 @@ one :func:`~hhfrac.certificates.build_certificate` record, the one that
 :func:`run_experiments` runs a whole list of perturbations against one
 unperturbed solve, after every space, certificate, contraction and
 admissibility check has passed; :func:`run_uh_experiment` is its
-one-perturbation Ulam-Hyers case.
+one-perturbation Ulam-Hyers case.  That solve is ``picard_solve``'s, which
+keeps its last result: a run right after the caller's own solve of the
+same problem, grid, tol and cap solves only the perturbed problems.
 
 The perturbed solution is *defined* as the solution of the h-shifted
 equation whose (log t)^(gamma-1) coefficient is frozen at the unperturbed
@@ -148,23 +150,21 @@ def run_experiments(
     problem: ProblemSpec, perturbations: list[PerturbationSpec], grid: LogGrid,
     lambda_phi: Optional[float] = None,
     tol: float = DEFAULT_TOL, cap: int = DEFAULT_CAP,
-    solution: Optional[GridFunction] = None,
 ) -> list[StabilityVerdict]:
     """One verdict per perturbation, all against a single unperturbed solve.
 
     Ulam-Hyers mode when ``lambda_phi`` is None, Rassias mode otherwise.
-    ``solution``, when given, is that unperturbed solve's result,
-    ``picard_solve(problem, grid, tol, cap)``, which a caller already
-    holds; it is used instead of solving again.
+    The unperturbed solve is ``picard_solve(problem, grid, tol, cap)``; a
+    caller that has just made that call holds its result, and the solver's
+    memo returns it without solving again.
 
     Every check runs before any solve, in this order.  Each phi profile
     must live on ``grid``.  One certificate serves the run, because
     C_f_phi does not depend on the profile; each distinct profile still
     verifies lambda_phi.  The contraction A < 1 must hold.  Each realized
-    perturbation, and ``solution``, must live on ``grid`` in the weight
-    class gamma, and each perturbation must be admissible.  Each re-solve
-    starts at the unperturbed solution, so the perturbed solutions share
-    its weighted limit at 1+.
+    perturbation must live on ``grid`` in the weight class gamma, and must
+    be admissible.  Each re-solve starts at the unperturbed solution, so
+    the perturbed solutions share its weighted limit at 1+.
     """
     perturbations = list(perturbations)
     g = problem.order.gamma
@@ -198,10 +198,7 @@ def run_experiments(
                 f"realized perturbation exceeds its admissibility bound by {float(excess):.3e}"
             )
         shifts.append(h)
-    if solution is None:
-        u, _ = picard_solve(problem, grid, tol=tol, cap=cap)
-    else:
-        u = require_space(solution, grid, g, "solution")
+    u, _ = picard_solve(problem, grid, tol=tol, cap=cap)
     u_raw = u.raw_tail()
     verdicts = []
     for p, h, shape in zip(perturbations, shifts, shapes):

@@ -6,7 +6,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import hhfrac.solver as solver_mod
 from hhfrac import LogGrid, Order, paper_example_problem, picard_solve
+
+
+@pytest.fixture(autouse=True)
+def empty_solve_memo(monkeypatch):
+    """Each test starts with no kept solve, so counts of sweeps and solves do
+    not depend on which test ran before."""
+    monkeypatch.setattr(solver_mod, "_last_solve", None)
 
 
 @pytest.fixture(scope="session")

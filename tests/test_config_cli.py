@@ -1,5 +1,7 @@
 import io
 import math
+import random
+import warnings
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -683,6 +685,88 @@ def test_extreme_values_never_escape_main(tmp_path, capsys, key):
         for command in ("certify", "solve", "stability"):
             assert main([command, "--config", str(cfg)]) in (0, 1, 2)
             capsys.readouterr()
+
+
+def run_quietly(argv):
+    """(exit code, RuntimeWarnings) of ``main(argv)``; other warnings are dropped."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, [str(w.message) for w in record if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflowing_prefactor_is_silent(tmp_path, capsys):
+    # 1/(t (2 + t)) overflows its denominator at t = 1e300; 1/inf = 0 is right
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SECTION5_CFG.replace("b = e", "b = 1e300").replace("c1 = 2", "c1 = 1e300")
+                   + "panels = 16\n")
+    for command, code in (("solve", 0), ("certify", 1), ("stability", 2)):
+        assert run_quietly([command, "--config", str(cfg)]) == (code, [])
+        capsys.readouterr()
+
+
+def test_overflowing_boundary_defect_is_silent(tmp_path, capsys):
+    # c2 (I^(1-gamma) u)(b) overflows; the defect reads inf, as before
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SECTION5_CFG.replace("c2 = 1", "c2 = 1e300").replace(
+        "paper-example", "affine-in-uv\nrhs.g0 = -1e300") + "panels = 37\n")
+    assert run_quietly(["solve", "--config", str(cfg)]) == (0, [])
+    assert "bc_defect = inf\n" in capsys.readouterr().out
+
+
+FUZZ_VALUES = (
+    "0", "-0", "1", "-1", "0.5", "-0.5", "1/3", "2/3", "e", "2", "0.01",
+    "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf",
+)
+FUZZ_KEYS = (
+    "alpha", "beta", "b", "c1", "c2", "phi", "tol", "cap",
+    "rhs.exponent", "rhs.coeff", "rhs.critical_coeff",
+    "rhs.g0", "rhs.g1", "rhs.a", "rhs.c", "rhs.table",
+    "stability.mode", "stability.perturbation", "stability.epsilon",
+    "stability.phi", "stability.lambda_phi", "stability.table",
+)
+FUZZ_CHOICES = {
+    "rhs": ("paper-example", "manufactured-log-power", "affine-in-uv", "custom-table"),
+    "stability.mode": ("uh", "uhr"),
+    "stability.perturbation": ("constant", "log-power", "supplied-table"),
+    "stability.phi": ("one", "critical-log-power"),
+}
+
+
+def fuzz_config(rng):
+    """A configuration from the grammar's keys with extreme and ordinary values."""
+    panels = rng.randint(8, 64)
+    entries = {"alpha": "1/3", "beta": "2/3", "b": "e", "c1": "2", "c2": "1",
+               "phi": "1", "rhs": rng.choice(FUZZ_CHOICES["rhs"]), "panels": str(panels)}
+    for key in rng.sample(FUZZ_KEYS, rng.randint(1, 6)):
+        if key in FUZZ_CHOICES:
+            entries[key] = rng.choice(FUZZ_CHOICES[key])
+        elif key.endswith("table"):
+            count = panels + 1 if rng.random() < 0.8 else panels
+            entries[key] = ",".join(rng.choice(FUZZ_VALUES[:14]) for _ in range(count))
+        elif key == "cap":
+            entries[key] = rng.choice(("1", "2", "200"))
+        else:
+            entries[key] = rng.choice(FUZZ_VALUES)
+    return "".join(f"{key} = {value}\n" for key, value in entries.items())
+
+
+def test_seeded_fuzz_ends_in_an_exit_code(tmp_path, capsys):
+    # no traceback (an exception escaping main), no numpy warning, and one
+    # of the documented exit codes, over 200 seeded configurations and all
+    # three commands
+    rng = random.Random(20)
+    cfg = tmp_path / "fuzz.cfg"
+    codes = []
+    for _ in range(200):
+        text = fuzz_config(rng)
+        cfg.write_text(text)
+        for command in ("solve", "certify", "stability"):
+            code, numpy_warnings = run_quietly([command, "--config", str(cfg)])
+            capsys.readouterr()
+            assert code in (0, 1, 2) and numpy_warnings == [], f"{command}:\n{text}"
+            codes.append(code)
+    assert {0, 1, 2} <= set(codes)
 
 
 def loop_solution_csv(u, f_grid):

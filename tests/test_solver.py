@@ -559,6 +559,94 @@ class TestDeferredReport:
         assert report_values(late) == prompt
 
 
+def count_work_arrays(monkeypatch):
+    """Count the FFT work pairs built (``QuadraturePlan.work_arrays`` calls)."""
+    calls = []
+    original = QuadraturePlan.work_arrays
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(QuadraturePlan, "work_arrays", counted)
+    return calls
+
+
+class TestWorkArraysOnFirstUse:
+    def test_residual_builds_none(self, monkeypatch, section5, section5_solution):
+        built = count_work_arrays(monkeypatch)
+        residual_fide(section5_solution[0], section5)
+        assert built == []
+
+    def test_apply_builds_one(self, monkeypatch, section5, section5_solution):
+        built = count_work_arrays(monkeypatch)
+        apply_Q(section5_solution[0], section5)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("entry", ["picard", "fixed"])
+    def test_solve_builds_one_also_when_read(self, monkeypatch, grid512, entry):
+        built = count_work_arrays(monkeypatch)
+        _, report = solve_entry(entry, paper_example_problem(), grid512)
+        assert len(built) == 1 and report.iterations > 1
+        report.residual_norm
+        assert len(built) == 1
+
+
+class TestKeptSolve:
+    """``picard_solve`` keeps its last solve and returns it for an equal call."""
+
+    def test_equal_call_applies_q_zero_times(self, monkeypatch):
+        first = picard_solve(paper_example_problem(), LogGrid(math.e, 64))
+        applied = count_applications(monkeypatch)
+        again = picard_solve(paper_example_problem(), LogGrid(math.e, 64))
+        assert applied == []
+        assert again[0] is first[0] and again[1] is first[1]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"phi": 0.5}, {"panels": 65}, {"tol": 1e-11}, {"cap": 199},
+            # == treats the signs of zero as equal; the memo does not
+            {"phi": -0.0},
+        ],
+        ids=["phi", "panels", "tol", "cap", "phi-sign"],
+    )
+    def test_changed_argument_solves_again(self, monkeypatch, change):
+        def call(phi=0.0, panels=64, tol=solver.DEFAULT_TOL, cap=solver.DEFAULT_CAP):
+            return picard_solve(paper_example_problem(phi), LogGrid(math.e, panels), tol, cap)
+
+        first = call()
+        applied = count_applications(monkeypatch)
+        again = call(**change)
+        assert len(applied) == again[1].iterations > 0
+        assert again[0] is not first[0]
+
+    def test_keeps_one_solve(self, grid512):
+        pinned = weakref.ref(picard_solve(paper_example_problem(), grid512)[0].weighted_values)
+        gc.collect()
+        assert pinned() is not None
+        picard_solve(AFFINE, grid512)
+        gc.collect()
+        assert pinned() is None
+
+    def test_failed_solve_is_not_kept(self, monkeypatch, grid512):
+        applied = count_applications(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="within 2 sweeps"):
+                picard_solve(paper_example_problem(), grid512, cap=2)
+        assert len(applied) == 4
+
+    def test_warning_on_every_call(self, monkeypatch):
+        problem = posed(affine_rhs(0.1, 0.0, 0.8, 0.0, math.e))  # A = 1.30, converges
+        grid = LogGrid(math.e, 64)
+        with pytest.warns(UserWarning, match="contraction constant 1.304 >= 1"):
+            first = picard_solve(problem, grid)
+        applied = count_applications(monkeypatch)
+        with pytest.warns(UserWarning, match="contraction constant 1.304 >= 1"):
+            assert picard_solve(problem, grid) == first
+        assert applied == []
+
+
 class TestGridMismatch:
     """A grid on another interval than the problem's is rejected, not solved on."""
 

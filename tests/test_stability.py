@@ -7,12 +7,15 @@ import pytest
 
 import reference_values as ref
 from oracles import reference_rhs
+import hhfrac.solver as solver_mod
 import hhfrac.stability as stability_mod
 from hhfrac.certificates import build_certificate, gronwall_bound
 from hhfrac.config import load_config
 from hhfrac.errors import CertificateRejected, DomainError, GridMismatchError
 from hhfrac.grids import GridFunction, LogGrid, Order, log_power, weighted_norm
-from hhfrac.problems import ProblemSpec, affine_rhs, manufactured_problem, paper_example_problem
+from hhfrac.problems import (
+    ProblemSpec, affine_rhs, manufactured_problem, paper_example_problem, paper_example_rhs,
+)
 from hhfrac.solver import DEFAULT_TOL, picard_solve, solve_with_fixed_constant
 from hhfrac.stability import (
     MODE_GENERALIZED_UH,
@@ -89,6 +92,27 @@ class TestPerturbationSpec:
         with pytest.raises(GridMismatchError, match="in the weight class of the problem"):
             run_uh_experiment(section5, spec, grid512)
         assert solves == []
+
+    @pytest.mark.parametrize("offset, passes", [(0.0, True), (1e-9, False)])
+    def test_weight_class_within_arithmetic_tolerance(self, grid512, offset, passes):
+        # gamma of Order(0.3, 0.5) is 0.6499999999999999; a table at 0.65
+        # adds to the problem's grid functions, so a run accepts it too
+        order = Order(0.3, 0.5)
+        problem = ProblemSpec(
+            order=order, b=math.e, c1=2.0, c2=1.0, phi=1.0, rhs=paper_example_rhs()
+        )
+        table = log_power(grid512, 0.65 + offset, 0.0, coeff=1e-4)
+        u = log_power(grid512, order.gamma, 0.0)
+        spec = PerturbationSpec("supplied-table", 1e-3, table=table)
+        if passes:
+            assert order.gamma != 0.65
+            u + table
+            assert run_uh_experiment(problem, spec, grid512).passed
+        else:
+            with pytest.raises(GridMismatchError):
+                u + table
+            with pytest.raises(GridMismatchError, match="in the weight class of the problem"):
+                run_uh_experiment(problem, spec, grid512)
 
 
 class TestUlamHyers:
@@ -397,12 +421,27 @@ class TestSharedUnperturbedSolve:
         assert len(solves) == 1
 
 
-class TestGivenSolution:
-    """``run_experiments(..., solution=u)`` uses u instead of solving again."""
+def count_solves(monkeypatch):
+    """Replace ``hhfrac.solver._solve`` by a wrapper; returns the ``frozen``
+    flag of each call: False for an unperturbed solve, True for a re-solve."""
+    frozen = []
+    original = solver_mod._solve
+
+    def counted(*args, **kwargs):
+        frozen.append(kwargs["frozen"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_solve", counted)
+    return frozen
+
+
+class TestKeptUnperturbedSolve:
+    """A run right after the caller's ``picard_solve`` of the same problem,
+    grid, tol and cap reuses that solve, which the solver keeps."""
 
     @pytest.mark.parametrize("rassias", [False, True])
     def test_same_verdicts_without_the_unperturbed_solve(
-        self, section5, grid512, section5_solution, monkeypatch, rassias
+        self, section5, grid512, monkeypatch, rassias
     ):
         phi = critical_profile(grid512)
         perturbations = [
@@ -413,42 +452,27 @@ class TestGivenSolution:
         lam = ref.LAMBDA_PHI_CRITICAL if rassias else None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            solved = run_experiments(section5, perturbations, grid512, lam)
-            solves = count_calls(monkeypatch, "picard_solve")
-            given = run_experiments(
-                section5, perturbations, grid512, lam, solution=section5_solution[0]
-            )
-        assert solves == []
-        assert given == solved
+            cold = run_experiments(section5, perturbations, grid512, lam)
+            monkeypatch.setattr(solver_mod, "_last_solve", None)
+            picard_solve(section5, grid512)
+            solves = count_solves(monkeypatch)
+            kept = run_experiments(section5, perturbations, grid512, lam)
+        assert solves == [True] * len(EPSILONS)
+        assert kept == cold
 
-    @pytest.mark.parametrize("where", ["grid", "class"])
-    def test_mismatched_solution_before_any_solve(self, section5, grid512, monkeypatch, where):
-        solves = count_calls(monkeypatch, "picard_solve")
-        resolves = count_calls(monkeypatch, "solve_with_fixed_constant")
-        if where == "grid":
-            solution = log_power(LogGrid(math.e, 256), ORDER.gamma, 0.0, coeff=1.0)
-        else:
-            solution = log_power(grid512, 0.5, 0.0, coeff=1.0)
-        perturbations = [PerturbationSpec("constant", eps) for eps in EPSILONS]
-        with pytest.raises(GridMismatchError, match="solution must live on the solve grid"):
-            run_experiments(section5, perturbations, grid512, solution=solution)
-        assert solves == [] and resolves == []
+    def test_uh_experiment_after_solve_only_resolves(self, section5, grid512, monkeypatch):
+        picard_solve(section5, grid512)
+        solves = count_solves(monkeypatch)
+        run_uh_experiment(section5, PerturbationSpec("constant", 1e-3), grid512)
+        assert solves == [True]
 
     def test_example_solves_unperturbed_once(self, monkeypatch, capsys):
         import hhfrac.cli as cli_mod
-        from hhfrac.solver import picard_solve as original
 
-        solves = []
-
-        def counted(*args, **kwargs):
-            solves.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli_mod, "picard_solve", counted)
-        monkeypatch.setattr(stability_mod, "picard_solve", counted)
+        solves = count_solves(monkeypatch)
         assert cli_mod.main(["example", "--panels", "64"]) == 0
         assert "\nUH,0.001," in capsys.readouterr().out
-        assert len(solves) == 1
+        assert solves.count(False) == 1
 
 
 class TestWarmStart:
