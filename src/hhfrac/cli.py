@@ -19,8 +19,10 @@ Exit status is 0 exactly when every check the command ran has passed.
 Configuration, domain and file errors, an overflowing Mittag-Leffler
 factor among them, print one ``error:`` line and exit 2.  A solve that
 reaches its cap or whose iterates overflow prints one ``solve failed:``
-line and a ``lambda_phi`` that fails its nodewise verification one
-``certificate rejected:`` line (``certify`` and ``stability``); both exit 1.
+line, as does a ``solve`` or ``example`` whose ``residual_norm``,
+``bc_defect`` or ``fide_residual`` is not finite, and a ``lambda_phi``
+that fails its nodewise verification one ``certificate rejected:`` line
+(``certify`` and ``stability``); both exit 1.
 :func:`main` alone maps exceptions to these lines.
 Outputs are deterministic: identical configurations produce bytewise
 identical files.
@@ -29,6 +31,8 @@ identical files.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from typing import Optional
 
@@ -95,14 +99,22 @@ def _report_lines(report) -> str:
 
 def _solve_record(config: RunConfig, out: Optional[str]) -> str:
     """The solve's report, after writing its CSV to ``out``: a failing
-    ``--out`` leaves stdout empty."""
+    ``--out`` leaves stdout empty.  A report whose residual, boundary
+    defect or FIDE residual is not finite raises ``ConvergenceError``
+    before anything is written."""
     grid = config.grid()
     problem = config.problem(grid)
     u, report = picard_solve(problem, grid, tol=config.tol, cap=config.cap)
+    fide_residual = residual_fide(u, problem)
+    checked = {"residual_norm": report.residual_norm, "bc_defect": report.bc_defect,
+               "fide_residual": fide_residual}
+    bad = [f"{name} = {value!r}" for name, value in checked.items() if not math.isfinite(value)]
+    if bad:
+        raise ConvergenceError(f"the solve's report is not finite: {', '.join(bad)}")
     if out is not None:
         with _open(out) as fh:
             _solution_csv(u, report.F_u, fh)
-    return _report_lines(report) + f"fide_residual = {residual_fide(u, problem)!r}\n"
+    return _report_lines(report) + f"fide_residual = {fide_residual!r}\n"
 
 
 def cmd_solve(config: RunConfig, out: Optional[str]) -> int:
@@ -171,7 +183,10 @@ def cmd_example(config: RunConfig, out: Optional[str]) -> int:
     return 0 if certified and stable else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of the process; parsing
+    leaves it unchanged, so every later call returns the same one."""
     parser = argparse.ArgumentParser(
         prog="hhfrac",
         description=(

@@ -47,14 +47,16 @@ class Order:
 class LogGrid:
     """Nodes t_0 = 1 < ... < t_N = b with uniformly spaced logarithms.
 
-    ``log_nodes`` and ``nodes`` are built once, on construction, and are
-    read-only; they take no part in equality, hashing or the repr.
+    ``log_nodes`` and ``nodes`` are built once, on construction, and the
+    powers of :meth:`x_power` once per exponent, on first use.  All are
+    read-only and take no part in equality, hashing or the repr.
     """
 
     b: float
     n_panels: int
     _log_nodes: np.ndarray = field(init=False, repr=False, compare=False)
     _nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    _powers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1.0 < self.b < math.inf:
@@ -70,6 +72,7 @@ class LogGrid:
         t.setflags(write=False)
         object.__setattr__(self, "_log_nodes", x)
         object.__setattr__(self, "_nodes", t)
+        object.__setattr__(self, "_powers", {})
 
     @property
     def h(self) -> float:
@@ -86,6 +89,15 @@ class LogGrid:
     @property
     def nodes(self) -> np.ndarray:
         return self._nodes
+
+    def x_power(self, p: float) -> np.ndarray:
+        """``log_nodes[1:] ** p``, built on the first call per exponent (read-only)."""
+        power = self._powers.get(p)
+        if power is None:
+            power = self._log_nodes[1:] ** p
+            power.setflags(write=False)
+            power = self._powers.setdefault(p, power)
+        return power
 
 
 class GridFunction:
@@ -123,10 +135,9 @@ class GridFunction:
     @classmethod
     def from_raw_callable(cls, grid: LogGrid, gamma_weight: float, fn) -> "GridFunction":
         """Build from raw samples u(t_i) for i >= 1; the weighted limit at 1+ is 0."""
-        x = grid.log_nodes
         w = np.empty(grid.n_nodes)
         w[0] = 0.0
-        w[1:] = np.asarray(fn(grid.nodes[1:]), dtype=float) * x[1:] ** (1.0 - gamma_weight)
+        w[1:] = np.asarray(fn(grid.nodes[1:]), dtype=float) * grid.x_power(1.0 - gamma_weight)
         return cls(grid, gamma_weight, w)
 
     # -- accessors ----------------------------------------------------------
@@ -138,8 +149,7 @@ class GridFunction:
 
     def raw_tail(self) -> np.ndarray:
         """Raw values u(t_i) at the nodes i >= 1 (node 0 may be unbounded)."""
-        x = self.grid.log_nodes
-        return self.weighted_values[1:] * x[1:] ** (self.gamma_weight - 1.0)
+        return self.weighted_values[1:] * self.grid.x_power(self.gamma_weight - 1.0)
 
     # -- algebra (same grid and weight class only) --------------------------
 

@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .grids import GridFunction, Order
+from .grids import GridFunction, LogGrid, Order
 from .specfun import gamma_ratio
 
 _TOL = 1e-12
@@ -62,10 +62,13 @@ def _panel_weights(mu: float, h: float, n_panels: int):
     value at node i as D_{i-m} (m >= 1); ``A`` is kept for the g_0 term.
     """
     k = np.arange(1, n_panels + 1, dtype=float)
-    km, kmm = k**mu, (k - 1.0) ** mu
-    diff = km - kmm
+    # k^p - (k-1)^p for p = mu, mu + 1: (k-1)^p is k^p one lag earlier, and
+    # 0^p = 0, so two powers serve where four would
+    diff, diff1 = k**mu, k ** (mu + 1.0)
+    diff[1:] = diff[1:] - diff[:-1]
+    diff1[1:] = diff1[1:] - diff1[:-1]
     m0 = h**mu * diff / mu
-    m1 = h ** (mu + 1.0) * (k * diff / mu - (k ** (mu + 1.0) - (k - 1.0) ** (mu + 1.0)) / (mu + 1.0))
+    m1 = h ** (mu + 1.0) * (k * diff / mu - diff1 / (mu + 1.0))
     a = m0 - m1 / h
     b = m1 / h
     d = np.empty(n_panels)
@@ -123,10 +126,11 @@ class QuadraturePlan:
     """The product-trapezoidal rule of one order mu on one log-uniform grid.
 
     Holds what every application of the rule reuses: the FFT length, the
-    endpoint weights ``a``, the reversed lag weights ``d_reversed`` for the
-    value at b, ``Gamma(mu)`` and, built on the first full integral, the
-    read-only real FFT of the lag weights.  Plans come from
-    :func:`quadrature_plan`, which caches them.
+    endpoint weights ``a`` and ``Gamma(mu)``; and, each built on its first
+    use and read-only, the reversed lag weights ``d_reversed`` for the
+    value at b and the real FFT of the lag weights for the full integral.
+    A plan that serves only one of the two never builds the other's.
+    Plans come from :func:`quadrature_plan`, which caches them.
     """
 
     def __init__(self, mu: float, h: float, n_panels: int):
@@ -136,10 +140,17 @@ class QuadraturePlan:
         # first N outputs of the linear convolution
         self.fft_size = 1 << (2 * n_panels - 2).bit_length()
         self.a, self._d = _panel_weights(mu, h, n_panels)
-        self.d_reversed = self._d[::-1].copy()
-        self.d_reversed.setflags(write=False)
         self.gamma_mu = math.gamma(mu)
-        self._spectrum = None
+        self._d_reversed = self._spectrum = None
+
+    @property
+    def d_reversed(self) -> np.ndarray:
+        """The lag weights in reverse order, contiguous (read-only)."""
+        if self._d_reversed is None:
+            d_reversed = self._d[::-1].copy()
+            d_reversed.setflags(write=False)
+            self._d_reversed = d_reversed
+        return self._d_reversed
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -163,17 +174,14 @@ class QuadraturePlan:
         return np.empty(self.fft_size // 2 + 1, dtype=complex), np.empty(self.fft_size)
 
     def weighted_integral(
-        self, split: LeadingModeSplit, to_weighted: np.ndarray, x: np.ndarray,
-        x_mu: Optional[np.ndarray] = None,
+        self, split: LeadingModeSplit, grid: LogGrid,
         work: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
-        """Weighted I^mu at nodes 0..N; ``x`` and ``to_weighted`` are
-        ``log t`` and ``x^(1-gamma_weight)`` at nodes 1..N.
+        """Weighted I^mu at the nodes 0..N of ``grid``, the plan's grid.
 
-        ``x_mu``, when given, is ``x**mu``, computed by the caller.  ``work``,
-        when given, is a pair from :meth:`work_arrays` that the FFTs write
-        into instead of allocating; the returned array never shares memory
-        with it.
+        The powers of log t come from ``grid``.  ``work``, when given, is a
+        pair from :meth:`work_arrays` that the FFTs write into instead of
+        allocating; the returned array never shares memory with it.
         """
         size = self.fft_size
         product, padded = work if work is not None else (None, None)
@@ -182,11 +190,12 @@ class QuadraturePlan:
         raw = np.fft.irfft(spectrum, size, out=padded)[: self.n_panels]
         raw += split.g0 * self.a
         raw /= self.gamma_mu
-        out = np.zeros(self.n_panels + 1)
-        np.multiply(raw, to_weighted, out=out[1:])
+        out = np.empty(self.n_panels + 1)
+        out[0] = 0.0
+        np.multiply(raw, grid.x_power(1.0 - split.gamma_weight), out=out[1:])
         mode = self._mode(split)
         if mode != 0.0:
-            out[1:] += mode * (x**self.mu if x_mu is None else x_mu)
+            out[1:] += mode * grid.x_power(self.mu)
         return out
 
     def value_at_b(self, split: LeadingModeSplit, log_b: float) -> float:
@@ -210,7 +219,7 @@ def quadrature_plan(mu: float, h: float, n_panels: int) -> QuadraturePlan:
 
 def _split(f: GridFunction) -> LeadingModeSplit:
     gw = f.gamma_weight
-    return split_leading_mode(f.weighted_values, gw, f.grid.log_nodes[1:] ** (gw - 1.0))
+    return split_leading_mode(f.weighted_values, gw, f.grid.x_power(gw - 1.0))
 
 
 def hadamard_integral(f: GridFunction, mu: float) -> GridFunction:
@@ -222,9 +231,7 @@ def hadamard_integral(f: GridFunction, mu: float) -> GridFunction:
     """
     grid = f.grid
     plan = quadrature_plan(mu, grid.h, grid.n_panels)
-    x = grid.log_nodes[1:]
-    out = plan.weighted_integral(_split(f), x ** (1.0 - f.gamma_weight), x)
-    return GridFunction(grid, f.gamma_weight, out)
+    return GridFunction(grid, f.gamma_weight, plan.weighted_integral(_split(f), grid))
 
 
 def _profile_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -251,13 +258,13 @@ def _derivative(f: GridFunction, mu: float, s_coeff: float) -> GridFunction:
     gw = f.gamma_weight
     x = grid.log_nodes[1:]
     plan = quadrature_plan(1.0 - mu, grid.h, grid.n_panels)
-    v = plan.weighted_integral(_split(f)._replace(w0=0.0), x ** (1.0 - gw), x)
+    v = plan.weighted_integral(_split(f)._replace(w0=0.0), grid)
     vp = _profile_derivative(v, grid.h)
     g_out = min(max(gw - mu, 0.0), 1.0 - _TOL)  # the result's weight class
     out = np.empty(grid.n_nodes)
-    out[1:] = (vp[1:] + (gw - 1.0) * v[1:] / x) * x ** (gw - g_out)
+    out[1:] = (vp[1:] + (gw - 1.0) * v[1:] / x) * grid.x_power(gw - g_out)
     if s_coeff != 0.0:
-        out[1:] += s_coeff * x ** (gw - mu - g_out)
+        out[1:] += s_coeff * grid.x_power(gw - mu - g_out)
     out[0] = s_coeff if abs(g_out - (gw - mu)) <= _TOL else 0.0
     return GridFunction(grid, g_out, out)
 

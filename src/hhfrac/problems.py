@@ -100,7 +100,11 @@ class ImplicitRoot:
     q = P (1 + |u|/(1+|u|)) + shift.  The root has the sign s of q
     (+1 at q = 0), and w = |z| is the nonnegative root of
     w^2 + B w - |q| = 0 with B = 1 - |q| - s P, taken in the form that
-    does not cancel for either sign of B.
+    does not cancel for either sign of B.  The passes that only a
+    negative q or a negative B needs run only when one occurs: with
+    q >= 0 everywhere, s = 1 and |q| = q, and with B >= 0 everywhere one
+    form serves every node.  A Picard solve, whose shift is 0, has both:
+    q >= 0, and B >= 1 - 3P >= 0 since P <= 1/3.
     """
 
     def __init__(self, rhs: RhsSpec, t):
@@ -125,22 +129,34 @@ class ImplicitRoot:
             q += 1.0
             q *= c
             q += shift
-            np.abs(q, out=aq)
-            # copysign(P, q) is s P and copysign(w, q) is s w: with P >= 0
-            # the sum q is never -0.0
-            bq = 1.0 - aq
-            bq -= np.copysign(c, q)
+            # with P >= 0 the sum q is never -0.0, so q >= 0 means s = +1;
+            # a nan fails the test and takes the signed passes
+            signed = not q.min() >= 0.0
+            if signed:
+                # copysign(P, q) is s P and copysign(w, q) is s w
+                np.abs(q, out=aq)
+                bq = 1.0 - aq
+                bq -= np.copysign(c, q)
+            else:
+                aq = q
+                bq = 1.0 - q
+                bq -= c
             root = bq * bq
             # out, when given, holds 4|q| until it takes w
             root += np.multiply(aq, 4.0, out=out)
             np.sqrt(root, out=root)
-            w = np.subtract(root, bq, out=out)
-            w *= 0.5
             aq *= 2.0
-            np.add(bq, root, out=root)
-            # w = 2|q|/(B + root) where B >= 0, (root - B)/2 elsewhere
-            np.divide(aq, root, out=w, where=bq >= 0.0)
-            return np.copysign(w, q, out=out)
+            if bq.min() >= 0.0:
+                # w = 2|q|/(B + root) at every node
+                root += bq
+                w = np.divide(aq, root, out=out)
+            else:
+                w = np.subtract(root, bq, out=out)
+                w *= 0.5
+                np.add(bq, root, out=root)
+                # w = 2|q|/(B + root) where B >= 0, (root - B)/2 elsewhere
+                np.divide(aq, root, out=w, where=bq >= 0.0)
+            return np.copysign(w, q, out=out) if signed else w
         if kind == AFFINE:
             p = self.rhs.params
             z = np.multiply(u, p["a"], out=out)

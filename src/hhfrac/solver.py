@@ -27,8 +27,10 @@ problem's, and for an iterate or shift on another grid or weight class.
 A solve whose iterates overflow raises ``ConvergenceError``.
 
 The sweeps run on weighted numpy arrays, with the per-solve data built
-once.  A solve's sweeps reuse two FFT work arrays, built on the first
-sweep, so a steady-state sweep allocates no grid-sized transform output.
+once.  The powers of log t are the grid's (``LogGrid.x_power``), built
+once per grid and exponent, so the solves on one grid share them.  A
+solve's sweeps reuse two FFT work arrays, built on the first sweep, so a
+steady-state sweep allocates no grid-sized transform output.
 F_u is split into its leading mode and remainder once per sweep, for both
 Z and ``I^alpha F_u``.  The operations are those of the grid-function
 operators, in the same order, so a solve is bit for bit what
@@ -67,10 +69,11 @@ class _Sweep:
     must live on the grid, in the weight class gamma.  ``role`` names
     ``u`` in that error.  Z is fixed by the boundary data from
     ``(I^nu F_u)(b)``, nu = 1 - gamma + alpha, or, when ``frozen``, held
-    at u's weighted limit.  The powers of x, the raw shift, the implicit
-    root and the quadrature plans are built here, once; x^alpha and the
-    FFT work arrays on their first use.  ``work`` may be dropped (set to
-    None), after which the transforms allocate their outputs again.
+    at u's weighted limit.  The raw shift, the implicit root and the
+    quadrature plans are built here, once, and the FFT work arrays on
+    their first use; the powers of x are the grid's (``LogGrid.x_power``).
+    ``work`` may be dropped (set to None), after which the transforms
+    allocate their outputs again.
     """
 
     def __init__(
@@ -83,11 +86,10 @@ class _Sweep:
         require_space(u, grid, g, role)
         if shift is not None:
             require_space(shift, grid, g, "perturbation")
-        x = grid.log_nodes[1:]
-        self.problem, self.rhs, self.gamma, self.grid, self.x = problem, problem.rhs, g, grid, x
+        self.problem, self.rhs, self.gamma, self.grid = problem, problem.rhs, g, grid
         self.root = ImplicitRoot(problem.rhs, grid.nodes[1:])
-        self.to_raw = x ** (g - 1.0)
-        self.to_weighted = x ** (1.0 - g)
+        self.to_raw = grid.x_power(g - 1.0)
+        self.to_weighted = grid.x_power(1.0 - g)
         self.shift_raw = shift.raw_tail() if shift is not None else 0.0
         self.shift_limit = shift.weighted_limit if shift is not None else 0.0
         self.alpha_plan = quadrature_plan(order.alpha, grid.h, grid.n_panels)
@@ -98,11 +100,6 @@ class _Sweep:
             self.phi_csum, self.c2_csum = problem.phi / csum, problem.c2 / csum
             self.gamma_g = math.gamma(g)
             self.nu_plan = quadrature_plan(1.0 - g + order.alpha, grid.h, grid.n_panels)
-
-    @cached_property
-    def x_alpha(self) -> np.ndarray:
-        """x^alpha at nodes 1..N, the image of F's leading mode."""
-        return self.x ** self.alpha_plan.mu
 
     @cached_property
     def work(self) -> tuple[np.ndarray, np.ndarray]:
@@ -125,10 +122,7 @@ class _Sweep:
         if z is None:
             tail = self.nu_plan.value_at_b(split, self.log_b)
             z = (self.phi_csum - self.c2_csum * tail) / self.gamma_g
-        u_next = self.alpha_plan.weighted_integral(
-            split, self.to_weighted, self.x,
-            self.x_alpha if split.w0 != 0.0 else None, self.work,
-        )
+        u_next = self.alpha_plan.weighted_integral(split, self.grid, self.work)
         u_next += z
         return u_next
 
@@ -155,7 +149,8 @@ class _Sweep:
             f_at_one = float(split_leading_mode(f_values[:4], g, self.to_raw[:3]).g0)
             mode_coeff = f_at_one / math.gamma(alpha + 1.0)
             u = u.copy()
-            u[1:] -= mode_coeff * self.x ** (1.0 - g + alpha)
+            # read once per report, so not kept on the grid
+            u[1:] -= mode_coeff * self.grid.log_nodes[1:] ** (1.0 - g + alpha)
             correction = (
                 f_at_one / math.gamma(2.0 + alpha - g) * self.log_b ** (1.0 + alpha - g)
             )

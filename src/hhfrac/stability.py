@@ -97,11 +97,10 @@ class PerturbationSpec:
 
     def realize(self, grid: LogGrid, gamma: float) -> GridFunction:
         """The perturbation h as a grid function in weight class gamma."""
-        x = grid.log_nodes
         if self.kind == CONSTANT:
             w = np.empty(grid.n_nodes)
             w[0] = 0.0
-            w[1:] = self.epsilon * x[1:] ** (1.0 - gamma)
+            w[1:] = self.epsilon * grid.x_power(1.0 - gamma)
             return GridFunction(grid, gamma, w)
         if self.kind == LOG_POWER:
             return self.phi_profile * self.epsilon

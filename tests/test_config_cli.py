@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import hhfrac.cli as cli
 from hhfrac.cli import SOLUTION_HEADER, _solution_csv, main
 from hhfrac.config import ConfigError, load_config, parse_config
 from hhfrac.grids import LogGrid
-from hhfrac.problems import paper_example_problem
+from hhfrac.problems import SolveReport, paper_example_problem
 from hhfrac.solver import picard_solve
 from hhfrac.stability import PerturbationSpec, run_experiments, verdicts_to_csv
 
@@ -705,13 +706,47 @@ def test_overflowing_prefactor_is_silent(tmp_path, capsys):
         capsys.readouterr()
 
 
+# the reference data with c2 (I^(1-gamma) u)(b) overflowing at 37 panels
+HUGE_DEFECT_CFG = SECTION5_CFG.replace("c2 = 1", "c2 = 1e300").replace(
+    "paper-example", "affine-in-uv\nrhs.g0 = -1e300")
+NOT_FINITE = "solve failed: the solve's report is not finite: "
+
+
 def test_overflowing_boundary_defect_is_silent(tmp_path, capsys):
-    # c2 (I^(1-gamma) u)(b) overflows; the defect reads inf, as before
+    # the defect reads inf without a numpy warning, and fails the solve
     cfg = tmp_path / "huge.cfg"
-    cfg.write_text(SECTION5_CFG.replace("c2 = 1", "c2 = 1e300").replace(
-        "paper-example", "affine-in-uv\nrhs.g0 = -1e300") + "panels = 37\n")
-    assert run_quietly(["solve", "--config", str(cfg)]) == (0, [])
-    assert "bc_defect = inf\n" in capsys.readouterr().out
+    cfg.write_text(HUGE_DEFECT_CFG + "panels = 37\n")
+    assert run_quietly(["solve", "--config", str(cfg)]) == (1, [])
+    assert capsys.readouterr().err == NOT_FINITE + "bc_defect = inf\n"
+
+
+def test_non_finite_report_fails_the_solve(tmp_path, capsys):
+    # one solve failed: line, exit 1, an empty stdout and no CSV
+    cfg, out = tmp_path / "huge.cfg", tmp_path / "u.csv"
+    cfg.write_text(HUGE_DEFECT_CFG)
+    assert main(["solve", "--config", str(cfg), "--panels", "37", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", NOT_FINITE + "bc_defect = inf\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["residual_norm", "bc_defect", "fide_residual"])
+def test_example_fails_on_a_non_finite_report(monkeypatch, capsys, name, value):
+    def solve(*args, **kwargs):
+        u, report = picard_solve(*args, **kwargs)
+        fields = {"residual_norm": report.residual_norm, "bc_defect": report.bc_defect}
+        fields[name] = value
+        finished = (fields["residual_norm"], fields["bc_defect"], report.F_u)
+        return u, SolveReport(report.iterations, report.final_update_norm,
+                              report.inner_iteration_max, lambda: finished)
+
+    monkeypatch.setattr(cli, "picard_solve", solve)
+    if name == "fide_residual":
+        monkeypatch.setattr(cli, "residual_fide", lambda u, problem: value)
+    assert main(["example", "--panels", "64"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{NOT_FINITE}{name} = {value!r}\n")
 
 
 FUZZ_VALUES = (
@@ -796,3 +831,15 @@ def test_solution_csv_matches_indexed_loop(panels, monkeypatch):
     text = buffer.getvalue()
     assert text == loop_solution_csv(u, report.F_u)
     assert len(text.splitlines()) == panels + 2
+
+
+def test_one_parser_per_process_carries_nothing_between_calls():
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    first = parser.parse_args(["solve", "--config", "a.cfg", "--panels", "8", "--out", "u.csv"])
+    second = parser.parse_args(["solve", "--config", "b.cfg"])
+    assert (first.panels, first.out) == ("8", "u.csv")
+    assert (second.config, second.panels, second.out) == ("b.cfg", None, None)
+    assert vars(parser.parse_args(["example"])) == {
+        "command": "example", "phi": None, "panels": None, "out": None,
+    }

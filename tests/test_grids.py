@@ -77,6 +77,18 @@ class TestLogGrid:
         assert a != LogGrid(math.e, 16)
         assert repr(a) == "LogGrid(b=2.718281828459045, n_panels=8)"
 
+    @pytest.mark.parametrize("n_panels", [1, 8, 8192])
+    def test_powers_are_cached_read_only_and_ignored_by_equality(self, n_panels):
+        grid, fresh = LogGrid(math.e, n_panels), LogGrid(math.e, n_panels)
+        g = 7.0 / 9.0
+        for p in (g - 1.0, 1.0 - g, 1.0 / 3.0, 0.0, 2.5):
+            power = grid.x_power(p)
+            assert power.tobytes() == (grid.log_nodes[1:] ** p).tobytes()
+            assert grid.x_power(p) is power
+            with pytest.raises(ValueError):
+                power[0] = 0.0
+        assert grid == fresh and hash(grid) == hash(fresh) and repr(grid) == repr(fresh)
+
 
 class TestGridFunction:
     def test_length_checked(self):

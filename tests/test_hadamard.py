@@ -379,6 +379,29 @@ def direct_integral_raw(f, mu):
     return raw
 
 
+def four_power_weights(mu, h, n_panels):
+    """The panel weights with (k-1)^mu and (k-1)^(mu+1) taken as powers of their own."""
+    k = np.arange(1, n_panels + 1, dtype=float)
+    diff = k**mu - (k - 1.0) ** mu
+    m1 = h ** (mu + 1.0) * (k * diff / mu - (k ** (mu + 1.0) - (k - 1.0) ** (mu + 1.0)) / (mu + 1.0))
+    a = h**mu * diff / mu - m1 / h
+    b = m1 / h
+    d = np.empty(n_panels)
+    d[0] = b[0]
+    d[1:] = a[:-1] + b[1:]
+    return a, d
+
+
+@pytest.mark.parametrize("n_panels", [1, 2, 3, 17, 512, 8192])
+@pytest.mark.parametrize("mu", [1e-3, 0.2, 1.0 / 3.0, 5.0 / 9.0, 2.0 / 3.0, 0.999, 1.5, 2.25])
+def test_panel_weights_bitwise_against_four_powers(mu, n_panels):
+    # the lag-shifted powers k^p[:-1] stand in for (k-1)^p, bit for bit
+    h = math.log(math.e * mu + 1.0) / n_panels
+    expected = four_power_weights(mu, h, n_panels)
+    for got, want in zip(_panel_weights.__wrapped__(mu, h, n_panels), expected):
+        assert got.tobytes() == want.tobytes()
+
+
 ORACLE_PANELS = (1, 2, 3, 5, 64, 513, 4096)
 ORACLE_MUS = (0.2, 1.0 / 3.0, 2.0 / 3.0, 1.5)
 # (weight class, weighted limit): class 0 admits only a zero limit

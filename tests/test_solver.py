@@ -217,13 +217,27 @@ class TestImplicitRoot:
 
     @staticmethod
     def draws(n, seed):
-        """Raw u with zeros of both signs, and shifts: scalars and arrays of both signs."""
+        """Raw u with zeros of both signs, and shifts: scalars and arrays of both signs.
+
+        For the paper example they take every path of the root: q and B
+        nonnegative (shift 0), q nonnegative with some B negative (0.5, and
+        0.1 from 512 panels, a constant Ulam-Hyers shift of 1e-1), and some
+        q negative with or without a negative B (-0.2, the array).
+        """
         rng = np.random.default_rng(seed)
         u = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 3.0, n)
         u[::7], u[3::11] = 0.0, -0.0
         shift = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 1.0, n)
         shift[::13] = -0.0
-        return u, [0.0, -0.0, 1e-3, -0.2, shift]
+        return u, [0.0, -0.0, 1e-3, 0.1, 0.5, -0.2, shift]
+
+    @staticmethod
+    def root_path(t, u, shift):
+        """(q >= 0, B >= 0) at every node, the paper example's written-out q and B."""
+        c = 1.0 / (t * (2.0 + t))
+        q = c * (1.0 + np.abs(u) / (1.0 + np.abs(u))) + shift
+        b = 1.0 - np.abs(q) - np.where(q < 0.0, -1.0, 1.0) * c
+        return bool(q.min() >= 0.0), bool(b.min() >= 0.0)
 
     @pytest.mark.parametrize("n_panels", [5, 512, 8192])
     @pytest.mark.parametrize("name", RHS)
@@ -233,7 +247,9 @@ class TestImplicitRoot:
         root = ImplicitRoot(rhs, t)
         u, shifts = self.draws(t.size, n_panels)
         u_before = u.copy()
+        paths = set()
         for shift in shifts:
+            paths.add(self.root_path(t, u, shift))
             expected = reference_implicit_solution(rhs, t, u, shift).tobytes()
             assert root.solve(u, shift).tobytes() == expected
             out = np.full(t.size + 1, np.nan)
@@ -244,6 +260,7 @@ class TestImplicitRoot:
             assert in_place.tobytes() == expected
             assert ImplicitRoot(rhs, t).solve(u, shift).tobytes() == expected
         assert u.tobytes() == u_before.tobytes()
+        assert paths == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_saturating_root_cancelling_shift(self):
         # shifts that cancel q exactly or leave B < 0 take the other branch
@@ -453,10 +470,10 @@ def record_work_arrays(monkeypatch):
     seen = []
     original = QuadraturePlan.weighted_integral
 
-    def recorded(self, split, to_weighted, x, x_mu=None, work=None):
+    def recorded(self, split, grid, work=None):
         if work is not None:
             seen.append(work)
-        return original(self, split, to_weighted, x, x_mu, work)
+        return original(self, split, grid, work)
 
     monkeypatch.setattr(QuadraturePlan, "weighted_integral", recorded)
     return seen
@@ -620,6 +637,15 @@ class TestKeptSolve:
         again = call(**change)
         assert len(applied) == again[1].iterations > 0
         assert again[0] is not first[0]
+
+    def test_equal_grid_with_filled_powers_hits(self, monkeypatch):
+        grid = LogGrid(math.e, 64)
+        first = picard_solve(paper_example_problem(), grid)
+        assert grid._powers  # the solve filled the grid's powers
+        equal = LogGrid(math.e, 64)
+        applied = count_applications(monkeypatch)
+        again = picard_solve(paper_example_problem(), equal)
+        assert applied == [] and again[0] is first[0] and again[1] is first[1]
 
     def test_keeps_one_solve(self, grid512):
         pinned = weakref.ref(picard_solve(paper_example_problem(), grid512)[0].weighted_values)
