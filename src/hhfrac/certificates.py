@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,8 @@ from .specfun import mittag_leffler, mittag_leffler_array
 
 @dataclass(frozen=True)
 class Certificate:
-    """All computed constants for one problem, with pass/fail verdicts."""
+    """All computed constants for one problem, with pass/fail verdicts,
+    in the order :meth:`as_text` prints them."""
 
     omega: float
     omega_paper_variant: float
@@ -48,10 +49,10 @@ class Certificate:
     b_const: float
     b_tilde: float
     c_f: float
+    lambda_phi: Optional[float]
+    c_f_phi: Optional[float]
     existence_ok: bool
     uniqueness_ok: bool
-    lambda_phi: Optional[float] = None
-    c_f_phi: Optional[float] = None
 
     def __post_init__(self):
         for name in ("omega", "omega_paper_variant", "lambda_cap", "a_const",
@@ -65,25 +66,15 @@ class Certificate:
             raise ValueError("c_f_phi must be present exactly when lambda_phi is")
 
     def as_text(self) -> str:
-        """Flat ``name = value`` record, one line per constant."""
-        lines = [
-            f"omega = {self.omega!r}",
-            f"omega_paper_variant = {self.omega_paper_variant!r}",
-            f"lambda_cap = {self.lambda_cap!r}",
-        ]
-        if self.ball_radius is not None:
-            lines.append(f"ball_radius = {self.ball_radius!r}")
-        lines += [
-            f"a_const = {self.a_const!r}",
-            f"b_const = {self.b_const!r}",
-            f"b_tilde = {self.b_tilde!r}",
-            f"c_f = {self.c_f!r}",
-        ]
-        if self.lambda_phi is not None:
-            lines.append(f"lambda_phi = {self.lambda_phi!r}")
-            lines.append(f"c_f_phi = {self.c_f_phi!r}")
-        lines.append(f"existence_ok = {'true' if self.existence_ok else 'false'}")
-        lines.append(f"uniqueness_ok = {'true' if self.uniqueness_ok else 'false'}")
+        """Flat ``name = value`` record: one line per field that is not None,
+        in declaration order, with the verdicts as ``true``/``false``."""
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
+                lines.append(f"{f.name} = {'true' if value else 'false'}")
+            elif value is not None:
+                lines.append(f"{f.name} = {value!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -257,8 +248,8 @@ def build_certificate(
         b_const=b_const,
         b_tilde=b_tilde,
         c_f=c_f,
-        existence_ok=omega < 1.0,
-        uniqueness_ok=a_const < 1.0,
         lambda_phi=lambda_phi,
         c_f_phi=c_f_phi,
+        existence_ok=omega < 1.0,
+        uniqueness_ok=a_const < 1.0,
     )

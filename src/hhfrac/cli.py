@@ -20,9 +20,10 @@ Configuration, domain and file errors, an overflowing Mittag-Leffler
 factor among them, print one ``error:`` line and exit 2.  A solve that
 reaches its cap or whose iterates overflow prints one ``solve failed:``
 line, as does a ``solve`` or ``example`` whose ``residual_norm``,
-``bc_defect`` or ``fide_residual`` is not finite, and a ``lambda_phi``
-that fails its nodewise verification one ``certificate rejected:`` line
-(``certify`` and ``stability``); both exit 1.
+``bc_defect`` or ``fide_residual`` is not finite, and a ``stability``
+whose unperturbed ``residual_norm`` or ``bc_defect`` is not; a
+``lambda_phi`` that fails its nodewise verification prints one
+``certificate rejected:`` line (``certify`` and ``stability``); both exit 1.
 :func:`main` alone maps exceptions to these lines.
 Outputs are deterministic: identical configurations produce bytewise
 identical files.
@@ -97,6 +98,15 @@ def _report_lines(report) -> str:
     )
 
 
+def _require_finite(report, **more):
+    """Raise ``ConvergenceError`` naming each of the report's residual and
+    boundary defect, and of ``more``, that is not finite."""
+    checked = {"residual_norm": report.residual_norm, "bc_defect": report.bc_defect, **more}
+    bad = [f"{name} = {value!r}" for name, value in checked.items() if not math.isfinite(value)]
+    if bad:
+        raise ConvergenceError(f"the solve's report is not finite: {', '.join(bad)}")
+
+
 def _solve_record(config: RunConfig, out: Optional[str]) -> str:
     """The solve's report, after writing its CSV to ``out``: a failing
     ``--out`` leaves stdout empty.  A report whose residual, boundary
@@ -106,11 +116,7 @@ def _solve_record(config: RunConfig, out: Optional[str]) -> str:
     problem = config.problem(grid)
     u, report = picard_solve(problem, grid, tol=config.tol, cap=config.cap)
     fide_residual = residual_fide(u, problem)
-    checked = {"residual_norm": report.residual_norm, "bc_defect": report.bc_defect,
-               "fide_residual": fide_residual}
-    bad = [f"{name} = {value!r}" for name, value in checked.items() if not math.isfinite(value)]
-    if bad:
-        raise ConvergenceError(f"the solve's report is not finite: {', '.join(bad)}")
+    _require_finite(report, fide_residual=fide_residual)
     if out is not None:
         with _open(out) as fh:
             _solution_csv(u, report.F_u, fh)
@@ -155,6 +161,8 @@ def cmd_stability(config: RunConfig, out: Optional[str]) -> int:
         problem, _perturbations(config, grid), grid, lam,
         tol=config.tol, cap=config.cap,
     )
+    # the solver's memo returns the unperturbed solve of run_experiments
+    _require_finite(picard_solve(problem, grid, tol=config.tol, cap=config.cap)[1])
     _emit(verdicts_to_csv(verdicts), out)
     return 0 if all(v.passed for v in verdicts) else 1
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError
 
-_GAMMA_TOL = 1e-12
+# weight classes (and log-power exponents) that differ by no more than this are one
+GAMMA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ class GridFunction:
             raise GridMismatchError(
                 "grid functions live on different grids; no implicit resampling"
             )
-        if abs(self.gamma_weight - other.gamma_weight) > _GAMMA_TOL:
+        if abs(self.gamma_weight - other.gamma_weight) > GAMMA_TOL:
             raise GridMismatchError(
                 f"weight classes differ: {self.gamma_weight} vs {other.gamma_weight}"
             )
@@ -187,7 +188,7 @@ def require_space(
     """``f``, once it lives on ``grid`` and, unless ``gamma`` is None, in the
     weight class ``gamma``, up to the tolerance that grid-function
     arithmetic allows; ``role`` names it in the ``GridMismatchError``."""
-    if f.grid != grid or (gamma is not None and abs(f.gamma_weight - gamma) > _GAMMA_TOL):
+    if f.grid != grid or (gamma is not None and abs(f.gamma_weight - gamma) > GAMMA_TOL):
         within = "" if gamma is None else ", in the weight class of the problem"
         raise GridMismatchError(f"{role} must live on the solve grid{within}")
     return f
@@ -207,13 +208,13 @@ def log_power(
     bounded at the left endpoint.
     """
     p = 1.0 - gamma_weight + exponent
-    if p < -_GAMMA_TOL:
+    if p < -GAMMA_TOL:
         raise DomainError(
             f"(log t)^{exponent} is unbounded in weight class {gamma_weight}"
         )
     x = grid.log_nodes
     w = np.empty(grid.n_nodes)
-    if abs(p) <= _GAMMA_TOL:
+    if abs(p) <= GAMMA_TOL:
         w[:] = coeff
     else:
         w[0] = 0.0

@@ -22,8 +22,7 @@ weights, their reversal, the weights' spectrum and Gamma(mu)) is a
 :func:`quadrature_plan`.  The split does not depend on mu
 (:func:`split_leading_mode`), so a caller that applies several orders to
 the same data, as each Picard sweep does, splits it once.
-``hadamard_integral`` and ``integral_value_at_b`` are the grid-function
-forms of the plan's two methods.
+``hadamard_integral`` is the grid-function form of the full integral.
 
 A Hadamard derivative splits its data once: (t d/dt) I^(1-mu) acts on the
 remainder as arrays, and the leading mode's image is added in closed form.
@@ -36,16 +35,14 @@ stencil through an unbounded raw value.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .grids import GridFunction, LogGrid, Order
+from .grids import GAMMA_TOL, GridFunction, LogGrid, Order
 from .specfun import gamma_ratio
-
-_TOL = 1e-12
 
 
 @lru_cache(maxsize=128)
@@ -141,25 +138,20 @@ class QuadraturePlan:
         self.fft_size = 1 << (2 * n_panels - 2).bit_length()
         self.a, self._d = _panel_weights(mu, h, n_panels)
         self.gamma_mu = math.gamma(mu)
-        self._d_reversed = self._spectrum = None
 
-    @property
+    @cached_property
     def d_reversed(self) -> np.ndarray:
         """The lag weights in reverse order, contiguous (read-only)."""
-        if self._d_reversed is None:
-            d_reversed = self._d[::-1].copy()
-            d_reversed.setflags(write=False)
-            self._d_reversed = d_reversed
-        return self._d_reversed
+        d_reversed = self._d[::-1].copy()
+        d_reversed.setflags(write=False)
+        return d_reversed
 
-    @property
+    @cached_property
     def spectrum(self) -> np.ndarray:
         """Real FFT of the lag weights at the padded length (read-only)."""
-        if self._spectrum is None:
-            spectrum = np.fft.rfft(self._d, self.fft_size)
-            spectrum.setflags(write=False)
-            self._spectrum = spectrum
-        return self._spectrum
+        spectrum = np.fft.rfft(self._d, self.fft_size)
+        spectrum.setflags(write=False)
+        return spectrum
 
     def _mode(self, split: LeadingModeSplit) -> float:
         """Coefficient of (log t)^mu in the weighted image of the leading mode."""
@@ -260,12 +252,12 @@ def _derivative(f: GridFunction, mu: float, s_coeff: float) -> GridFunction:
     plan = quadrature_plan(1.0 - mu, grid.h, grid.n_panels)
     v = plan.weighted_integral(_split(f)._replace(w0=0.0), grid)
     vp = _profile_derivative(v, grid.h)
-    g_out = min(max(gw - mu, 0.0), 1.0 - _TOL)  # the result's weight class
+    g_out = min(max(gw - mu, 0.0), 1.0 - GAMMA_TOL)  # the result's weight class
     out = np.empty(grid.n_nodes)
     out[1:] = (vp[1:] + (gw - 1.0) * v[1:] / x) * grid.x_power(gw - g_out)
     if s_coeff != 0.0:
         out[1:] += s_coeff * grid.x_power(gw - mu - g_out)
-    out[0] = s_coeff if abs(g_out - (gw - mu)) <= _TOL else 0.0
+    out[0] = s_coeff if abs(g_out - (gw - mu)) <= GAMMA_TOL else 0.0
     return GridFunction(grid, g_out, out)
 
 
@@ -284,7 +276,7 @@ def hadamard_derivative(f: GridFunction, mu: float) -> GridFunction:
     if w0 != 0.0:
         if gw == 0.0:
             raise DomainError("weight class 0 admits no nonzero limit mode")
-        if gw - mu < -_TOL:
+        if gw - mu < -GAMMA_TOL:
             raise DomainError(
                 f"derivative of the (log t)^({gw}-1) mode of order {mu} leaves "
                 "every representable weight class"
@@ -314,18 +306,11 @@ def hilfer_hadamard_derivative(f: GridFunction, order: Order) -> GridFunction:
         gw = f.gamma_weight
         if gw == 0.0:
             raise DomainError("weight class 0 admits no nonzero limit mode")
-        if gw < go - _TOL:
+        if gw < go - GAMMA_TOL:
             raise DomainError(
                 f"the (log t)^({gw}-1) mode lies below the critical exponent "
                 f"{go} - 1; its Hilfer-Hadamard derivative does not exist"
             )
-        if abs(gw - go) <= _TOL:
+        if abs(gw - go) <= GAMMA_TOL:
             return _derivative(f, alpha, 0.0)
     return hadamard_derivative(f, alpha)
-
-
-def integral_value_at_b(f: GridFunction, mu: float) -> float:
-    """Raw value of (I^mu f)(b): the last node of the integral, in O(N)."""
-    grid = f.grid
-    plan = quadrature_plan(mu, grid.h, grid.n_panels)
-    return plan.value_at_b(_split(f), math.log(grid.b))

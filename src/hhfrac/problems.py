@@ -79,7 +79,7 @@ class RhsSpec:
         w = np.interp(x, xs, self.table.weighted_values)
         return w * x ** (self.table.gamma_weight - 1.0) + 0.0 * u
 
-    def weighted_limit(self, u_weighted_limit: float, gamma: float) -> float:
+    def weighted_limit(self, u_weighted_limit: float) -> float:
         """lim_{t->1+} (log t)^(1-gamma) F_u(t) for u with the given weighted limit."""
         if self.kind == AFFINE:
             return self.params["a"] * u_weighted_limit / (1.0 - self.params["c"])
@@ -332,9 +332,9 @@ def manufactured_solution(problem: ProblemSpec, grid: LogGrid) -> GridFunction:
 class SolveReport:
     """Outcome of a successive-approximation solve.
 
-    ``iterations``, ``final_update_norm`` and ``inner_iteration_max`` are
-    set by the solve.  ``inner_iteration_max`` is always 1: every catalog
-    entry solves its implicit equation in one closed-form step.
+    ``iterations`` and ``final_update_norm`` are set by the solve.
+    ``inner_iteration_max`` is 1 for every report: every catalog entry
+    solves its implicit equation in one closed-form step.
 
     ``residual_norm`` (the increment of one more application of the map),
     ``bc_defect`` and ``F_u`` (the implicit right-hand side at the returned
@@ -344,15 +344,16 @@ class SolveReport:
     that is never read for them costs no extra work.
     """
 
+    inner_iteration_max = 1
+
     def __init__(self, iterations: int, final_update_norm: float,
-                 inner_iteration_max: int, finish: Callable[[], tuple]):
-        if iterations < 0 or inner_iteration_max < 0:
-            raise ValueError("iteration counts must be nonnegative")
+                 finish: Callable[[], tuple]):
+        if iterations < 0:
+            raise ValueError("iterations must be nonnegative")
         if final_update_norm < 0.0:
             raise ValueError("final_update_norm must be nonnegative")
         self.iterations = iterations
         self.final_update_norm = final_update_norm
-        self.inner_iteration_max = inner_iteration_max
         self._finish = finish
 
     @cached_property

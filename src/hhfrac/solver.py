@@ -34,7 +34,7 @@ steady-state sweep allocates no grid-sized transform output.
 F_u is split into its leading mode and remainder once per sweep, for both
 Z and ``I^alpha F_u``.  The operations are those of the grid-function
 operators, in the same order, so a solve is bit for bit what
-``hadamard_integral`` and ``integral_value_at_b`` give sweep by sweep.
+``hadamard_integral`` and the plan's ``value_at_b`` give sweep by sweep.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class _Sweep:
     def rhs_values(self, u: np.ndarray) -> np.ndarray:
         """Weighted F_u (class gamma) for the weighted iterate u."""
         w = np.empty(self.grid.n_nodes)
-        w[0] = self.rhs.weighted_limit(float(u[0]), self.gamma) + self.shift_limit
+        w[0] = self.rhs.weighted_limit(float(u[0])) + self.shift_limit
         raw = np.multiply(u[1:], self.to_raw, out=w[1:])
         self.root.solve(raw, self.shift_raw, out=raw)
         w[1:] *= self.to_weighted
@@ -227,8 +227,7 @@ def _solve(
         return residual, sweep.bc_defect(u, f_values), GridFunction(grid, sweep.gamma, f_values)
 
     return solution, SolveReport(
-        iterations=len(history), final_update_norm=history[-1],
-        inner_iteration_max=1, finish=finish,
+        iterations=len(history), final_update_norm=history[-1], finish=finish,
     )
 
 

@@ -5,10 +5,21 @@ library derives in one place, so a test can pin the library's path bit for
 bit without calling it.
 """
 
+import math
+
 import numpy as np
 
 from hhfrac.grids import GridFunction
+from hhfrac.hadamard import quadrature_plan, split_leading_mode
 from hhfrac.problems import AFFINE, PAPER_EXAMPLE
+
+
+def value_at_b(f, mu):
+    """Raw (I^mu f)(b) through the cached plan's O(N) dot product."""
+    grid, gw = f.grid, f.gamma_weight
+    plan = quadrature_plan(mu, grid.h, grid.n_panels)
+    split = split_leading_mode(f.weighted_values, gw, grid.x_power(gw - 1.0))
+    return plan.value_at_b(split, math.log(grid.b))
 
 
 def reference_implicit_solution(rhs, t, u, shift=0.0):
@@ -44,7 +55,7 @@ def reference_rhs(rhs, order, grid, u, shift=None):
     s_raw = shift.raw_tail() if shift is not None else 0.0
     s_w0 = shift.weighted_limit if shift is not None else 0.0
     w = np.empty(grid.n_nodes)
-    w[0] = rhs.weighted_limit(u.weighted_limit, g) + s_w0
+    w[0] = rhs.weighted_limit(u.weighted_limit) + s_w0
     w[1:] = reference_implicit_solution(rhs, grid.nodes[1:], u.raw_tail(), s_raw) * (
         grid.log_nodes[1:] ** (1.0 - g)
     )

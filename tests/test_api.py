@@ -13,7 +13,8 @@ from hhfrac.grids import LogGrid
 from hhfrac.problems import paper_example_problem
 
 PACKAGE = Path(hhfrac.__file__).resolve().parent
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_every_export_resolves():
@@ -89,3 +90,26 @@ def test_benchmark_tracer_reads_the_solver_contract():
     assert 16 in tracer.level_s
     for (module, name), original in originals.items():
         assert getattr(module, name) is original, name
+
+
+def test_benchmark_operation_runs_traced(monkeypatch):
+    # one traced sweep-small operation reads every library name the
+    # benchmark uses: the workload's calls, the span targets and the weight
+    # cache's counters
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    problem = workloads.build_problem(workloads.draw_problems(0, 1)[0])
+    info = hadamard._panel_weights.cache_info
+    before = info()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        defect = workloads.sweep_op(problem)[0]
+        now = info()
+        snap = tracer.snapshot(now.hits - before.hits, now.misses - before.misses)
+    finally:
+        tracer.remove()
+    assert defect is None
+    assert snap["solver.solves"][0] > 0

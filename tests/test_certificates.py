@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -354,6 +355,22 @@ class TestCertificateRecord:
         u, _ = picard_solve(problem, LogGrid(math.e, 512))
         # 8.33 against 1.71
         assert weighted_norm(u) <= cert.ball_radius
+
+    @pytest.mark.parametrize("case", ["ulam-hyers", "rassias", "omega-at-least-1"])
+    def test_text_lists_the_set_fields_in_field_order(self, case, section5, grid512):
+        if case == "rassias":
+            phi = log_power(grid512, ORDER.gamma, ORDER.gamma - 1.0)
+            with pytest.warns(UserWarning):
+                cert = build_certificate(section5, phi, ref.LAMBDA_PHI_CRITICAL)
+        else:
+            cert = build_certificate(section5 if case == "ulam-hyers" else problem_with(sigma=3.5))
+        keys = [line.partition(" = ")[0] for line in cert.as_text().splitlines()]
+        set_fields = [
+            f.name for f in dataclasses.fields(cert) if getattr(cert, f.name) is not None
+        ]
+        assert keys == set_fields
+        assert ("ball_radius" in keys) == (case != "omega-at-least-1")
+        assert ("c_f_phi" in keys) == (case == "rassias")
 
     def test_ball_radius_only_with_existence(self):
         cert = build_certificate(problem_with(sigma=3.5))

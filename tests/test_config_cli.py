@@ -730,6 +730,16 @@ def test_non_finite_report_fails_the_solve(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_report_fails_stability(tmp_path, capsys):
+    # the unperturbed solve that solve rejects gives no verdicts either
+    cfg, out = tmp_path / "huge.cfg", tmp_path / "verdicts.csv"
+    cfg.write_text(HUGE_DEFECT_CFG)
+    assert main(["stability", "--config", str(cfg), "--panels", "37", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", NOT_FINITE + "bc_defect = inf\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("name", ["residual_norm", "bc_defect", "fide_residual"])
 def test_example_fails_on_a_non_finite_report(monkeypatch, capsys, name, value):
@@ -738,8 +748,7 @@ def test_example_fails_on_a_non_finite_report(monkeypatch, capsys, name, value):
         fields = {"residual_norm": report.residual_norm, "bc_defect": report.bc_defect}
         fields[name] = value
         finished = (fields["residual_norm"], fields["bc_defect"], report.F_u)
-        return u, SolveReport(report.iterations, report.final_update_norm,
-                              report.inner_iteration_max, lambda: finished)
+        return u, SolveReport(report.iterations, report.final_update_norm, lambda: finished)
 
     monkeypatch.setattr(cli, "picard_solve", solve)
     if name == "fide_residual":

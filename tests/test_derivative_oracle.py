@@ -18,9 +18,8 @@ import numpy as np
 import pytest
 
 from hhfrac.errors import DomainError
-from hhfrac.grids import GridFunction, LogGrid, Order
+from hhfrac.grids import GAMMA_TOL, GridFunction, LogGrid, Order
 from hhfrac.hadamard import (
-    _TOL,
     hadamard_derivative,
     hadamard_integral,
     hilfer_hadamard_derivative,
@@ -47,12 +46,12 @@ def reference_hilfer_derivative(f, order):
     if w0 != 0.0:
         if gw == 0.0:
             raise DomainError("weight class 0 admits no nonzero limit mode")
-        if gw < go - _TOL:
+        if gw < go - GAMMA_TOL:
             raise DomainError(
                 f"the (log t)^({gw}-1) mode lies below the critical exponent "
                 f"{go} - 1; its Hilfer-Hadamard derivative does not exist"
             )
-        if abs(gw - go) > _TOL:
+        if abs(gw - go) > GAMMA_TOL:
             s_coeff = w0 * gamma_ratio(gw, alpha)
 
     d_rem = hadamard_derivative(remainder(f), alpha)
@@ -79,9 +78,9 @@ def branch(f, order):
     gw, go = f.gamma_weight, order.gamma
     if gw == 0.0:
         return "class-0-mode"
-    if gw < go - _TOL:
+    if gw < go - GAMMA_TOL:
         return "below-critical"
-    if abs(gw - go) <= _TOL:
+    if abs(gw - go) <= GAMMA_TOL:
         return "critical" if gw == go else "near-critical"
     return "above-critical"
 
@@ -155,7 +154,7 @@ def composed_hadamard_derivative(f, mu):
     if w0 != 0.0:
         if gw == 0.0:
             raise DomainError("weight class 0 admits no nonzero limit mode")
-        if gw - mu < -_TOL:
+        if gw - mu < -GAMMA_TOL:
             raise DomainError(
                 f"derivative of the (log t)^({gw}-1) mode of order {mu} leaves "
                 "every representable weight class"
@@ -163,12 +162,12 @@ def composed_hadamard_derivative(f, mu):
     s_coeff = w0 * gamma_ratio(gw, mu) if w0 != 0.0 else 0.0
     drem = composed_log_derivative(hadamard_integral(remainder(f), 1.0 - mu))
     g_out = gw - mu
-    g_out = 0.0 if g_out < 0.0 else min(g_out, 1.0 - _TOL)
+    g_out = 0.0 if g_out < 0.0 else min(g_out, 1.0 - GAMMA_TOL)
     out = np.empty(grid.n_nodes)
     out[1:] = drem.weighted_values[1:] * x[1:] ** (gw - g_out)
     if s_coeff != 0.0:
         out[1:] += s_coeff * x[1:] ** (gw - mu - g_out)
-    out[0] = s_coeff if abs(g_out - (gw - mu)) <= _TOL else 0.0
+    out[0] = s_coeff if abs(g_out - (gw - mu)) <= GAMMA_TOL else 0.0
     return GridFunction(grid, g_out, out)
 
 
@@ -178,12 +177,12 @@ def composed_hilfer_derivative(f, order):
         gw = f.gamma_weight
         if gw == 0.0:
             raise DomainError("weight class 0 admits no nonzero limit mode")
-        if gw < go - _TOL:
+        if gw < go - GAMMA_TOL:
             raise DomainError(
                 f"the (log t)^({gw}-1) mode lies below the critical exponent "
                 f"{go} - 1; its Hilfer-Hadamard derivative does not exist"
             )
-        if abs(gw - go) <= _TOL:
+        if abs(gw - go) <= GAMMA_TOL:
             f = remainder(f)
     return composed_hadamard_derivative(f, alpha)
 

@@ -2,8 +2,8 @@
 
 The reference iterates ``u <- Z (log t)^(gamma-1) + I^alpha F_u`` over grid
 functions, one public operator call at a time: F_u from the catalog's
-closed-form implicit solve, Z through ``integral_value_at_b`` and the
-integral through ``hadamard_integral``, and the boundary defect with
+closed-form implicit solve, Z through the quadrature plan's ``value_at_b``
+and the integral through ``hadamard_integral``, and the boundary defect with
 F_u(1+) extrapolated by the three-point rule written out.  The solver
 performs the same floating-point operations in the same order on weighted
 arrays, so every output must agree bit for bit, and a failing solve must
@@ -23,7 +23,6 @@ from hhfrac.hadamard import (
     _panel_weights,
     hadamard_integral,
     hilfer_hadamard_derivative,
-    integral_value_at_b,
     quadrature_plan,
 )
 from hhfrac.problems import (
@@ -40,7 +39,7 @@ from hhfrac.solver import (
     residual_fide,
     solve_with_fixed_constant,
 )
-from oracles import reference_rhs
+from oracles import reference_rhs, value_at_b
 
 
 def boundary_z(problem):
@@ -49,7 +48,7 @@ def boundary_z(problem):
     csum = problem.c1 + problem.c2
 
     def z_of(f_grid):
-        tail = integral_value_at_b(f_grid, nu)
+        tail = value_at_b(f_grid, nu)
         return (problem.phi / csum - problem.c2 / csum * tail) / math.gamma(order.gamma)
 
     return z_of
@@ -73,7 +72,7 @@ def reference_bc_defect(u, problem, f_grid):
                 / math.gamma(2.0 + order.alpha - g)
                 * math.log(grid.b) ** (1.0 + order.alpha - g)
             )
-    at_b = integral_value_at_b(candidate, 1.0 - g) + correction
+    at_b = value_at_b(candidate, 1.0 - g) + correction
     return float(abs(problem.c1 * at_one + problem.c2 * at_b - problem.phi))
 
 
@@ -329,4 +328,4 @@ def test_plan_matches_uncached_quadrature_bitwise(n_panels, gw, limit):
         at_b = (np.dot(g, d[::-1]) + g0 * a[-1]) / math.gamma(mu) * xb ** (1.0 - gw)
         if mode:
             at_b += mode * xb**mu
-        assert integral_value_at_b(f, mu) == float(at_b) * xb ** (gw - 1.0)
+        assert value_at_b(f, mu) == float(at_b) * xb ** (gw - 1.0)
