@@ -12,7 +12,6 @@ experiments.
 from .certificates import (
     Certificate,
     build_certificate,
-    existence_constants,
     gronwall_bound,
     uniqueness_constant,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "apply_Q",
     "beta",
     "build_certificate",
-    "existence_constants",
     "gronwall_bound",
     "hadamard_derivative",
     "hadamard_integral",

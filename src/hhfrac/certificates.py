@@ -3,9 +3,10 @@
 All constants are closed-form expressions in (alpha, gamma, b, c1, c2, phi)
 and the right-hand-side metadata; they are evaluated here in double
 precision and compared against high-precision references in the tests.
-:func:`build_certificate` is the one place that assembles the Ulam
-constants C_f and C_f_phi: ``hhfrac certify`` prints its record and
-:mod:`hhfrac.stability` judges every verdict against the same fields.
+:func:`build_certificate` is the one source of every theorem constant
+(:func:`uniqueness_constant`, its A, is public for the solver's warning):
+``hhfrac certify`` prints its record and :mod:`hhfrac.stability` judges
+every verdict against the same fields.
 
 Two deliberate quirks are reproduced and documented rather than silently
 repaired:
@@ -84,34 +85,6 @@ _LAMBDA_PHI_TOL = 1e-9
 
 def _c_ratio(problem: ProblemSpec) -> float:
     return abs(problem.c2 / (problem.c1 + problem.c2))
-
-
-def existence_constants(problem: ProblemSpec):
-    """(omega, omega_paper_variant, lambda_cap, ball_radius or None).
-
-    omega < 1 certifies existence; the ball radius lambda_cap/(1 - omega)
-    is only defined in that case.  lambda_cap bounds a norm, so the
-    boundary term enters through |phi/(c1+c2)|.  omega_paper_variant has
-    Gamma(gamma) in place of 1/Gamma(gamma), the arithmetic of the worked
-    example (about 0.88 for the reference problem).
-    """
-    rhs = problem.rhs
-    o = problem.order
-    g, a = o.gamma, o.alpha
-    logb = math.log(problem.b)
-    cr = _c_ratio(problem)
-    shape = beta_fn(g, a) / math.gamma(a) * logb**a
-    omega, omega_pa = (
-        (k + 1.0) * rhs.sigma_star * shape / (1.0 - rhs.rho_star)
-        for k in (cr / math.gamma(g), cr * math.gamma(g))
-    )
-    lam = abs(problem.phi / (problem.c1 + problem.c2)) / math.gamma(g) + (
-        (cr / (math.gamma(g) * math.gamma(2.0 - g + a)) + 1.0 / math.gamma(a + 1.0))
-        * logb ** (1.0 - g + a)
-        / (1.0 - rhs.rho_star)
-    )
-    radius = lam / (1.0 - omega) if omega < 1.0 else None
-    return omega, omega_pa, lam, radius
 
 
 def uniqueness_constant(problem: ProblemSpec) -> float:
@@ -211,13 +184,27 @@ def build_certificate(
     a warning naming the caller, since the classical statement assumes an
     increasing one.  A profile on another interval than the problem's raises
     GridMismatchError.  A C_f or C_f_phi that overflows raises MLOverflowError.
+
+    omega < 1 certifies existence and defines the ball radius
+    lambda_cap/(1 - omega); lambda_cap bounds a norm, so phi enters through
+    |phi/(c1+c2)|.  omega_paper_variant has Gamma(gamma) for 1/Gamma(gamma),
+    the worked example's arithmetic (about 0.88 for the reference problem).
     """
-    omega, omega_pa, lam, radius = existence_constants(problem)
-    a_const = uniqueness_constant(problem)
     rhs, o = problem.rhs, problem.order
     g, a = o.gamma, o.alpha
     logb = math.log(problem.b)
     cr = _c_ratio(problem)
+    shape = beta_fn(g, a) / math.gamma(a) * logb**a
+    omega, omega_pa = (
+        (k + 1.0) * rhs.sigma_star * shape / (1.0 - rhs.rho_star)
+        for k in (cr / math.gamma(g), cr * math.gamma(g))
+    )
+    lam = abs(problem.phi / (problem.c1 + problem.c2)) / math.gamma(g) + (
+        (cr / (math.gamma(g) * math.gamma(2.0 - g + a)) + 1.0 / math.gamma(a + 1.0))
+        * logb ** (1.0 - g + a)
+        / (1.0 - rhs.rho_star)
+    )
+    a_const = uniqueness_constant(problem)
     # one growth series serves both C_f and C_f_phi
     growth = mittag_leffler(a, rhs.K_f / (1.0 - rhs.L_f) * logb**a).value
     # B, the integral-inequality constant of the Ulam-Hyers estimate
@@ -243,7 +230,7 @@ def build_certificate(
         omega=omega,
         omega_paper_variant=omega_pa,
         lambda_cap=lam,
-        ball_radius=radius,
+        ball_radius=lam / (1.0 - omega) if omega < 1.0 else None,
         a_const=a_const,
         b_const=b_const,
         b_tilde=b_tilde,

@@ -4,7 +4,8 @@ Subcommands:
 
 * ``solve``     solve a configured problem, emit the solution as CSV
 * ``certify``   compute every constant, emit a key = value record
-* ``stability`` run perturbation experiments, emit verdict CSV rows
+* ``stability`` run perturbation experiments, emit verdict CSV rows; the
+  perturbation is ``stability.table``, else epsilon (uh) or epsilon phi (uhr)
 * ``verify``    run the operator-identity suites (``--level fast|full``);
   ``full`` adds the gated refinement orders of the integral and the solver
 * ``example``   the reference problem's ``rhs`` metadata, then ``certify``,
@@ -44,7 +45,7 @@ from .grids import GridFunction
 from .problems import paper_example_rhs
 from .solver import picard_solve, residual_fide
 from .stability import (
-    LOG_POWER, SUPPLIED, PerturbationSpec, run_experiments, verdicts_to_csv,
+    CONSTANT, LOG_POWER, SUPPLIED, PerturbationSpec, run_experiments, verdicts_to_csv,
 )
 from .verify import run_convergence_suite, run_identity_suite
 
@@ -139,18 +140,18 @@ def cmd_certify(config: RunConfig, out: Optional[str]) -> int:
 
 
 def _perturbations(config: RunConfig, grid) -> list[PerturbationSpec]:
-    """One perturbation per configured epsilon; they share one phi profile."""
-    kind = config.perturbation_kind
-    if kind == SUPPLIED:
+    """One perturbation per configured epsilon: the table, else epsilon phi(t)
+    (``uhr``, one shared profile) or the constant epsilon (``uh``)."""
+    if config.stability_table is not None:
         table = GridFunction(grid, config.order.gamma, config.stability_table)
-        return [PerturbationSpec(kind, eps, table=table) for eps in config.epsilons]
-    if kind == LOG_POWER or config.stability_mode == "uhr":
+        return [PerturbationSpec(SUPPLIED, eps, table=table) for eps in config.epsilons]
+    if config.stability_mode == "uhr":
         phi = config.phi_profile(grid)
         return [
             PerturbationSpec(LOG_POWER, eps, phi_profile=phi)
             for eps in config.epsilons
         ]
-    return [PerturbationSpec(kind, eps) for eps in config.epsilons]
+    return [PerturbationSpec(CONSTANT, eps) for eps in config.epsilons]
 
 
 def cmd_stability(config: RunConfig, out: Optional[str]) -> int:

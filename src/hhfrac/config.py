@@ -17,14 +17,13 @@ Recognized keys::
                                                   panels+1 finite weighted values)
     panels, tol, cap                     numerics (>= 5, finite > 0, >= 1)
     stability.mode                       uh | uhr
-    stability.perturbation               constant | log-power | supplied-table
-                                         (supplied-table only with mode uh)
     stability.epsilon                    finite positive float or comma list
     stability.phi                        one | critical-log-power
     stability.lambda_phi                 comparison constant for uhr (finite > 0;
                                          default the phi profile's sharp one)
-    stability.table                      comma list for supplied-table (panels+1,
-                                         finite)
+    stability.table                      the perturbation itself, uh only; else
+                                         epsilon (uh) or epsilon phi(t) (uhr)
+                                         (comma list, panels+1, finite)
 
 An ``rhs.<name>`` key that the chosen kind does not take is an error, and
 so is a value outside the kind's domain (``rhs.c = 1`` under
@@ -51,7 +50,6 @@ from .problems import (
     table_rhs,
 )
 from .solver import DEFAULT_CAP, DEFAULT_TOL
-from .stability import CONSTANT, LOG_POWER, SUPPLIED
 
 
 class ConfigError(ValueError):
@@ -87,7 +85,6 @@ class RunConfig:
     tol: float = DEFAULT_TOL
     cap: int = DEFAULT_CAP
     stability_mode: str = "uh"
-    perturbation_kind: str = CONSTANT
     epsilons: tuple = (1e-3,)
     phi_kind: str = "one"
     lambda_phi: Optional[float] = None
@@ -200,7 +197,6 @@ _KEYS = {
     "tol": ("tol", _number),
     "cap": ("cap", _integer),
     "stability.mode": ("stability_mode", _choice("uh", "uhr")),
-    "stability.perturbation": ("perturbation_kind", _choice(CONSTANT, LOG_POWER, SUPPLIED)),
     "stability.epsilon": ("epsilons", _number_list),
     "stability.phi": ("phi_kind", _choice("one", "critical-log-power")),
     "stability.lambda_phi": ("lambda_phi", _number),
@@ -242,10 +238,8 @@ def _violations(c: RunConfig, keys):
             yield key, f"rhs kind {c.rhs_kind!r} takes no parameter {key[4:]!r}"
     if c.rhs_kind == CUSTOM_TABLE and c.rhs_table is None:
         yield "rhs", "custom-table rhs needs rhs.table"
-    if c.perturbation_kind == SUPPLIED and c.stability_table is None:
-        yield "stability.perturbation", "supplied-table perturbation needs stability.table"
-    if c.perturbation_kind == SUPPLIED and c.stability_mode == "uhr":
-        yield "stability.perturbation", (
+    if c.stability_table is not None and c.stability_mode == "uhr":
+        yield "stability.table", (
             "a supplied table has no phi profile; stability.mode = uhr needs one"
         )
     for key, table in (("rhs.table", c.rhs_table), ("stability.table", c.stability_table)):

@@ -3,6 +3,8 @@
 Right-hand sides come from a fixed catalog rather than an expression parser
 so that the Lipschitz and growth metadata attached to each entry stay honest
 and testable.  Every entry evaluates f(t, u, v) elementwise on numpy arrays.
+The paper example saturates; every other entry is linear, f = g(t) + a u
++ c v, so :class:`ImplicitRoot` has one saturating and one linear form.
 """
 
 from __future__ import annotations
@@ -60,24 +62,32 @@ class RhsSpec:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, t, u, v):
-        """f(t, u, v), elementwise over numpy arrays or scalars."""
+    def t_part(self, t):
+        """The part of f that depends on t alone: the paper example's prefactor
+        1/(t(2+t)), or g(t) of a linear entry f = g(t) + a u + c v."""
         if self.kind == PAPER_EXAMPLE:
             with np.errstate(over="ignore"):  # t (2 + t) = inf near b = 1e300; 1/inf = 0
-                c = 1.0 / (t * (2.0 + t))
-            su = np.abs(u) / (1.0 + np.abs(u))
-            sv = np.abs(v) / (1.0 + np.abs(v))
-            return c * (1.0 + su + sv)
+                return 1.0 / (t * (2.0 + t))
         if self.kind == MANUFACTURED:
-            return self.params["f_coeff"] * np.log(t) ** self.params["f_exponent"] + 0.0 * u
+            return self.params["f_coeff"] * np.log(t) ** self.params["f_exponent"]
         if self.kind == AFFINE:
-            p = self.params
-            return p["g0"] + p["g1"] * np.log(t) + p["a"] * u + p["c"] * v
+            return self.params["g0"] + self.params["g1"] * np.log(t)
         # custom table: weighted profile interpolated in x = log t
         x = np.log(t)
         xs = self.table.grid.log_nodes
         w = np.interp(x, xs, self.table.weighted_values)
-        return w * x ** (self.table.gamma_weight - 1.0) + 0.0 * u
+        return w * x ** (self.table.gamma_weight - 1.0)
+
+    def evaluate(self, t, u, v):
+        """f(t, u, v), elementwise over numpy arrays or scalars."""
+        if self.kind == PAPER_EXAMPLE:
+            su = np.abs(u) / (1.0 + np.abs(u))
+            sv = np.abs(v) / (1.0 + np.abs(v))
+            return self.t_part(t) * (1.0 + su + sv)
+        if self.kind == AFFINE:
+            return self.t_part(t) + self.params["a"] * u + self.params["c"] * v
+        # the manufactured and custom-table entries do not depend on u or v
+        return self.t_part(t) + 0.0 * u
 
     def weighted_limit(self, u_weighted_limit: float) -> float:
         """lim_{t->1+} (log t)^(1-gamma) F_u(t) for u with the given weighted limit."""
@@ -91,10 +101,10 @@ class RhsSpec:
 class ImplicitRoot:
     """The root z of z = f(t, u, z) + shift at fixed nodes t, in closed form for every kind.
 
-    The part that depends on t alone is built once: 1/(t(2+t)) for the
-    paper example, g0 + g1 log t for the affine entry.  A solve that
-    sweeps the same nodes many times builds one and calls :meth:`solve`
-    per sweep.
+    The part that depends on t alone, :meth:`RhsSpec.t_part`, is built
+    once.  A solve that sweeps the same nodes many times builds one and
+    calls :meth:`solve` per sweep.  There are two forms: the saturating
+    one of the paper example, and one linear form for every other entry.
 
     For the paper example z = q + P |z|/(1+|z|) with P = 1/(t(2+t)) and
     q = P (1 + |u|/(1+|u|)) + shift.  The root has the sign s of q
@@ -105,23 +115,22 @@ class ImplicitRoot:
     q >= 0 everywhere, s = 1 and |q| = q, and with B >= 0 everywhere one
     form serves every node.  A Picard solve, whose shift is 0, has both:
     q >= 0, and B >= 1 - 3P >= 0 since P <= 1/3.
+
+    For a linear entry the root is z = (a u + g + shift)/(1 - c), with
+    a = c = 0 for the manufactured and custom-table entries, where it is
+    bit for bit f(t, u, 0) + shift (IEEE addition commutes, x/1.0 = x).
     """
 
     def __init__(self, rhs: RhsSpec, t):
-        self.rhs, self.t = rhs, t
-        if rhs.kind == PAPER_EXAMPLE:
-            with np.errstate(over="ignore"):  # t (2 + t) = inf near b = 1e300; 1/inf = 0
-                self.grid_part = 1.0 / (t * (2.0 + t))
-        elif rhs.kind == AFFINE:
-            self.grid_part = rhs.params["g0"] + rhs.params["g1"] * np.log(t)
+        self.rhs = rhs
+        self.grid_part = rhs.t_part(t)
 
     def solve(self, u, shift=0.0, out=None):
         """z at the nodes for raw values u; written into ``out`` when given.
 
         ``out`` may be ``u`` itself: u is read before ``out`` is written.
         """
-        kind = self.rhs.kind
-        if kind == PAPER_EXAMPLE:
+        if self.rhs.kind == PAPER_EXAMPLE:
             c = self.grid_part
             aq = np.abs(u)
             q = aq + 1.0
@@ -157,15 +166,12 @@ class ImplicitRoot:
                 # w = 2|q|/(B + root) where B >= 0, (root - B)/2 elsewhere
                 np.divide(aq, root, out=w, where=bq >= 0.0)
             return np.copysign(w, q, out=out) if signed else w
-        if kind == AFFINE:
-            p = self.rhs.params
-            z = np.multiply(u, p["a"], out=out)
-            z += self.grid_part
-            z += shift
-            z /= 1.0 - p["c"]
-            return z
-        # the remaining kinds do not depend on v
-        return np.add(self.rhs.evaluate(self.t, u, 0.0), shift, out=out)
+        p = self.rhs.params
+        z = np.multiply(u, p.get("a", 0.0), out=out)
+        z += self.grid_part
+        z += shift
+        z /= 1.0 - p.get("c", 0.0)
+        return z
 
 
 def _require_finite(**params):
@@ -243,7 +249,9 @@ def affine_rhs(g0: float, g1: float, a: float, c: float, b: float) -> RhsSpec:
 
 
 def table_rhs(table: GridFunction) -> RhsSpec:
-    """f(t,u,v) = T(t) given by a weighted table on a grid (u,v ignored)."""
+    """f(t,u,v) = T(t) given by a weighted table on a grid (u,v ignored).
+
+    A solve takes it only on its own grid, in the problem's weight class."""
     delta = float(np.max(np.abs(table.raw_tail())))
     return RhsSpec(
         kind=CUSTOM_TABLE,

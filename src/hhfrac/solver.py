@@ -23,7 +23,8 @@ read.
 Every entry point, ``apply_Q`` and ``residual_fide`` too, builds one sweep
 from its iterate.  The sweep checks the grid, the iterate and any shift
 once.  It raises ``GridMismatchError`` for a grid whose b is not the
-problem's, and for an iterate or shift on another grid or weight class.
+problem's, and for an iterate, shift or right-hand-side table on another
+grid or weight class.
 A solve whose iterates overflow raises ``ConvergenceError``.
 
 The sweeps run on weighted numpy arrays, with the per-solve data built
@@ -65,15 +66,16 @@ class _Sweep:
     """The fixed-point map Q on weighted arrays; it owns one call's inputs.
 
     Every entry point builds one from its iterate ``u``.  It checks, once
-    and in order, the grid's interval, then ``u``, then the shift: each
-    must live on the grid, in the weight class gamma.  ``role`` names
-    ``u`` in that error.  Z is fixed by the boundary data from
-    ``(I^nu F_u)(b)``, nu = 1 - gamma + alpha, or, when ``frozen``, held
-    at u's weighted limit.  The raw shift, the implicit root and the
-    quadrature plans are built here, once, and the FFT work arrays on
-    their first use; the powers of x are the grid's (``LogGrid.x_power``).
-    ``work`` may be dropped (set to None), after which the transforms
-    allocate their outputs again.
+    and in order, the grid's interval, then ``u``, then the shift, then a
+    ``custom-table`` right-hand side's table: each must live on the grid,
+    in the weight class gamma.  ``role`` names ``u`` in that error.  Z is
+    fixed by the boundary data from ``(I^nu F_u)(b)``,
+    nu = 1 - gamma + alpha, or, when ``frozen``, held at u's weighted
+    limit.  The raw shift, the implicit root and the quadrature plans are
+    built here, once, and the FFT work arrays on their first use; the
+    powers of x are the grid's (``LogGrid.x_power``).  ``work`` may be
+    dropped (set to None), after which the transforms allocate their
+    outputs again.
     """
 
     def __init__(
@@ -86,6 +88,8 @@ class _Sweep:
         require_space(u, grid, g, role)
         if shift is not None:
             require_space(shift, grid, g, "perturbation")
+        if problem.rhs.table is not None:
+            require_space(problem.rhs.table, grid, g, "custom-table rhs")
         self.problem, self.rhs, self.gamma, self.grid = problem, problem.rhs, g, grid
         self.root = ImplicitRoot(problem.rhs, grid.nodes[1:])
         self.to_raw = grid.x_power(g - 1.0)

@@ -13,7 +13,6 @@ import pytest
 import reference_values as ref
 from hhfrac.certificates import (
     build_certificate,
-    existence_constants,
     uniqueness_constant,
 )
 from hhfrac.grids import GridFunction, LogGrid, Order, log_power, weighted_norm
@@ -42,7 +41,8 @@ def test_criterion_1_uniqueness_constant(section5):
 
 
 def test_criterion_2_existence_constants(section5):
-    omega, omega_pa, _, _ = existence_constants(section5)
+    cert = build_certificate(section5)
+    omega, omega_pa = cert.omega, cert.omega_paper_variant
     ok_pa = abs(omega_pa - 0.88) <= 0.01
     ok_literal = abs(omega - ref.OMEGA_LITERAL) <= 1e-8 * ref.OMEGA_LITERAL
     ok_below_one = omega < 1.0 and omega_pa < 1.0

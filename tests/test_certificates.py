@@ -10,7 +10,6 @@ import reference_values as ref
 import hhfrac.stability as stability_mod
 from hhfrac.certificates import (
     build_certificate,
-    existence_constants,
     gronwall_bound,
     uniqueness_constant,
 )
@@ -44,14 +43,13 @@ class TestAgainstReferenceValues:
         )
 
     def test_existence_constants(self, section5):
-        omega, _, lam, radius = existence_constants(section5)
-        assert omega == pytest.approx(ref.OMEGA_LITERAL, rel=1e-10)
-        assert lam == pytest.approx(ref.LAMBDA_CAP, rel=1e-10)
-        assert radius == pytest.approx(ref.BALL_RADIUS, rel=1e-10)
+        cert = build_certificate(section5)
+        assert cert.omega == pytest.approx(ref.OMEGA_LITERAL, rel=1e-10)
+        assert cert.lambda_cap == pytest.approx(ref.LAMBDA_CAP, rel=1e-10)
+        assert cert.ball_radius == pytest.approx(ref.BALL_RADIUS, rel=1e-10)
 
     def test_paper_arithmetic_variant(self, section5):
-        _, omega_pa, _, _ = existence_constants(section5)
-        assert omega_pa == pytest.approx(
+        assert build_certificate(section5).omega_paper_variant == pytest.approx(
             ref.OMEGA_PAPER_ARITHMETIC, rel=1e-10
         )
 
@@ -73,19 +71,18 @@ class TestAgainstReferenceValues:
 class TestStructure:
     def test_no_growth_means_zero_omega(self):
         problem = problem_with(sigma=0.0)
-        omega, omega_pa, lam, radius = existence_constants(problem)
-        assert omega == 0.0
-        assert omega_pa == 0.0
-        assert radius == lam
+        cert = build_certificate(problem)
+        assert cert.omega == 0.0
+        assert cert.omega_paper_variant == 0.0
+        assert cert.ball_radius == cert.lambda_cap
 
     def test_b_to_one_limits(self):
         problem = problem_with(b=1.0 + 1e-12)
-        omega, _, lam, _ = existence_constants(problem)
-        assert omega == pytest.approx(0.0, abs=1e-3)
-        assert lam == pytest.approx(
+        cert = build_certificate(problem)
+        assert cert.omega == pytest.approx(0.0, abs=1e-3)
+        assert cert.lambda_cap == pytest.approx(
             abs(problem.phi / 3.0) / math.gamma(ORDER.gamma), rel=1e-3
         )
-        cert = build_certificate(problem)
         b_const, c_f = cert.b_const, cert.c_f
         assert b_const == pytest.approx(0.0, abs=1e-3)
         assert c_f == pytest.approx(0.0, abs=1e-3)
@@ -108,10 +105,9 @@ class TestStructure:
         rows = []
         for b in bs:
             problem = problem_with(b=b)
-            omega, _, lam, _ = existence_constants(problem)
             cert = build_certificate(problem)
             b_const, c_f = cert.b_const, cert.c_f
-            rows.append((omega, lam, uniqueness_constant(problem), b_const, c_f,
+            rows.append((cert.omega, cert.lambda_cap, uniqueness_constant(problem), b_const, c_f,
                          cert.b_tilde))
         for i in range(5):
             values = [row[i] for row in rows]

@@ -55,6 +55,18 @@ class TestConfigParsing:
         config = parse_config(text)
         assert config.alpha == 0.5
 
+    def test_documented_keys_are_the_parsed_keys(self):
+        # the module docstring is the full key list that the README points to
+        import re
+
+        from hhfrac import config as config_mod
+
+        doc = config_mod.__doc__
+        for key in config_mod._KEYS:
+            assert re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", doc), key
+        for name in re.findall(r"\b(?:rhs|stability)\.\w+", doc):
+            assert name in config_mod._KEYS, name
+
     def test_unknown_key_cites_line(self):
         text = "alpha = 0.5\nbeta = 0\nwhatever = 3\n"
         with pytest.raises(ConfigError, match=r"cfg:3: unknown key 'whatever'"):
@@ -283,6 +295,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {cfg}:9: unknown key {key!r}"]
 
+    def test_removed_perturbation_key_is_unknown(self, tmp_path, capsys):
+        # the stability mode and stability.table decide the perturbation
+        cfg = tmp_path / "perturbation.cfg"
+        cfg.write_text(SECTION5_CFG + "stability.perturbation = constant\n")
+        assert main(["stability", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {cfg}:9: unknown key 'stability.perturbation'"
+        ]
+
     # a lambda_phi that fails its nodewise check does not hide the overflow:
     # certify and stability build the same certificate
     REJECTED_LAMBDA_PHI = (
@@ -408,10 +431,8 @@ class TestCli:
             ),
             pytest.param(
                 ["stability"],
-                SECTION5_CFG
-                + "stability.perturbation = supplied-table\npanels = 8\n"
-                + "stability.table = 0,0,0\n",
-                "{cfg}:11: stability.table: 3 values; 8 panels need 9",
+                SECTION5_CFG + "panels = 8\nstability.table = 0,0,0\n",
+                "{cfg}:10: stability.table: 3 values; 8 panels need 9",
                 id="stability-table-length",
             ),
             pytest.param(
@@ -469,18 +490,15 @@ class TestCli:
             ),
             pytest.param(
                 ["stability"],
-                SECTION5_CFG
-                + "stability.perturbation = supplied-table\npanels = 8\n"
-                + "stability.table = 0,1,nan,0,0,0,0,0,0\n",
-                "{cfg}:11: stability.table: table values must be finite",
+                SECTION5_CFG + "panels = 8\nstability.table = 0,1,nan,0,0,0,0,0,0\n",
+                "{cfg}:10: stability.table: table values must be finite",
                 id="stability-table-nan",
             ),
             pytest.param(
                 ["certify"],
-                SECTION5_CFG + "stability.mode = uhr\n"
-                + "stability.perturbation = supplied-table\npanels = 8\n"
+                SECTION5_CFG + "stability.mode = uhr\npanels = 8\n"
                 + "stability.table = 0,0,0,0,0,0,0,0,0\n",
-                "{cfg}:10: stability.perturbation: a supplied table has no phi "
+                "{cfg}:11: stability.table: a supplied table has no phi "
                 "profile; stability.mode = uhr needs one",
                 id="uhr-supplied-table",
             ),
@@ -616,7 +634,6 @@ class TestCli:
         cfg.write_text(
             SECTION5_CFG.replace("stability.epsilon = 1e-2,1e-3", "\n".join([
                 f"stability.epsilon = {eps}",
-                "stability.perturbation = supplied-table",
                 "panels = 64",
                 "stability.table = " + ",".join(repr(float(v)) for v in w),
             ]))
@@ -624,6 +641,34 @@ class TestCli:
         assert main(["stability", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[1].endswith(",true")
+
+    def test_stability_table_is_the_perturbation(self, tmp_path, capsys):
+        # a uh config that gives stability.table runs that table, not the
+        # constant epsilon: its CSV is the library's supplied-table run
+        from hhfrac.grids import GridFunction, log_power
+
+        config = parse_config(SECTION5_CFG + "panels = 16\n")
+        grid = config.grid()
+        # h = 5e-4 log t, admissible for both epsilons
+        w = log_power(grid, config.order.gamma, 1.0, 5e-4).weighted_values
+        cfg = tmp_path / "table.cfg"
+        cfg.write_text(
+            SECTION5_CFG + "panels = 16\n"
+            + "stability.table = " + ",".join(repr(float(v)) for v in w) + "\n"
+        )
+        assert main(["stability", "--config", str(cfg)]) == 0
+        table = GridFunction(grid, config.order.gamma, w)
+        perturbations = [
+            PerturbationSpec("supplied-table", eps, table=table) for eps in config.epsilons
+        ]
+        problem = config.problem(grid)
+        expected = verdicts_to_csv(run_experiments(problem, perturbations, grid))
+        constant = verdicts_to_csv(run_experiments(
+            problem, [PerturbationSpec("constant", eps) for eps in config.epsilons], grid
+        ))
+        out = capsys.readouterr().out
+        assert out == expected
+        assert out != constant
 
     def test_custom_table_rhs_config(self, tmp_path, capsys):
         # tabulated right-hand side equal to the manufactured one
@@ -766,13 +811,12 @@ FUZZ_KEYS = (
     "alpha", "beta", "b", "c1", "c2", "phi", "tol", "cap",
     "rhs.exponent", "rhs.coeff", "rhs.critical_coeff",
     "rhs.g0", "rhs.g1", "rhs.a", "rhs.c", "rhs.table",
-    "stability.mode", "stability.perturbation", "stability.epsilon",
+    "stability.mode", "stability.epsilon",
     "stability.phi", "stability.lambda_phi", "stability.table",
 )
 FUZZ_CHOICES = {
     "rhs": ("paper-example", "manufactured-log-power", "affine-in-uv", "custom-table"),
     "stability.mode": ("uh", "uhr"),
-    "stability.perturbation": ("constant", "log-power", "supplied-table"),
     "stability.phi": ("one", "critical-log-power"),
 }
 

@@ -213,7 +213,17 @@ class TestImplicitRoot:
         "affine": affine_rhs(0.3, -0.2, 0.25, 0.3, math.e),
         "affine-negative": affine_rhs(-0.7, 0.9, -0.3, -0.5, math.e),
         "manufactured": manufactured_rhs(ORDER, math.e, exponent=2.5, coeff=-1.3),
+        # g = -0.0 at every node, so the sign of a zero root follows u's and
+        # the shift's zeros exactly as in f(t, u, 0) + shift
+        "manufactured-negative-zero": manufactured_rhs(ORDER, math.e, coeff=-0.0),
     }
+
+    @staticmethod
+    def signed_table_rhs(grid, seed):
+        """A custom-table right-hand side on ``grid`` in class gamma, with zeros of both signs."""
+        w = np.random.default_rng(seed).uniform(-2.0, 2.0, grid.n_nodes)
+        w[::5], w[2::7] = 0.0, -0.0
+        return table_rhs(GridFunction(grid, ORDER.gamma, w))
 
     @staticmethod
     def draws(n, seed):
@@ -240,10 +250,11 @@ class TestImplicitRoot:
         return bool(q.min() >= 0.0), bool(b.min() >= 0.0)
 
     @pytest.mark.parametrize("n_panels", [5, 512, 8192])
-    @pytest.mark.parametrize("name", RHS)
+    @pytest.mark.parametrize("name", [*RHS, "custom-table"])
     def test_bitwise_against_written_out_root(self, name, n_panels):
-        rhs = self.RHS[name]
-        t = LogGrid(math.e, n_panels).nodes[1:]
+        grid = LogGrid(math.e, n_panels)
+        rhs = self.RHS[name] if name in self.RHS else self.signed_table_rhs(grid, n_panels)
+        t = grid.nodes[1:]
         root = ImplicitRoot(rhs, t)
         u, shifts = self.draws(t.size, n_panels)
         u_before = u.copy()
@@ -728,6 +739,39 @@ class TestGridMismatch:
         u = log_power(grid512, gamma_weight, 0.0)
         with pytest.raises(GridMismatchError, match="u must live on the solve grid"):
             entry(u, section5)
+
+    @pytest.mark.parametrize("entry", ["picard", "fixed", "apply_Q", "residual"])
+    @pytest.mark.parametrize(
+        "table",
+        [
+            # (log t)^(-0.1) in class 0.9: its weighted limit is not F_u's in class 7/9
+            lambda grid: log_power(grid, 0.9, -0.1),
+            lambda grid: log_power(LogGrid(math.e, 128), ORDER.gamma, -0.1),
+        ],
+        ids=["weight-class", "panels"],
+    )
+    def test_rhs_table_off_the_solve_space_rejected(self, entry, table):
+        grid = LogGrid(math.e, 256)
+        problem = posed(table_rhs(table(grid)))
+        u = critical_mode(grid, 0.5)
+        call = {
+            "picard": lambda: picard_solve(problem, grid),
+            "fixed": lambda: solve_with_fixed_constant(problem, grid, u),
+            "apply_Q": lambda: apply_Q(u, problem),
+            "residual": lambda: residual_fide(u, problem),
+        }[entry]
+        with pytest.raises(
+            GridMismatchError,
+            match="custom-table rhs must live on the solve grid, in the weight class",
+        ):
+            call()
+
+    def test_rhs_table_in_the_problem_class_solves(self):
+        grid = LogGrid(math.e, 256)
+        u, report = picard_solve(posed(table_rhs(log_power(grid, ORDER.gamma, -0.1))), grid)
+        assert report.residual_norm <= 1e-9
+        # the refined value of raw u(t_1) is about 0.124
+        assert u.raw_tail()[0] == pytest.approx(0.1163, abs=1e-4)
 
 
 class TestStart:
