@@ -157,9 +157,8 @@ def _perturbations(config: RunConfig, grid) -> list[PerturbationSpec]:
 def cmd_stability(config: RunConfig, out: Optional[str]) -> int:
     grid = config.grid()
     problem = config.problem(grid)
-    lam = config.rassias_lambda_phi if config.stability_mode == "uhr" else None
     verdicts = run_experiments(
-        problem, _perturbations(config, grid), grid, lam,
+        problem, _perturbations(config, grid), grid, config.rassias_lambda_phi,
         tol=config.tol, cap=config.cap,
     )
     # the solver's memo returns the unperturbed solve of run_experiments

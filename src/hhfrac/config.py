@@ -18,16 +18,17 @@ Recognized keys::
     panels, tol, cap                     numerics (>= 5, finite > 0, >= 1)
     stability.mode                       uh | uhr
     stability.epsilon                    finite positive float or comma list
-    stability.phi                        one | critical-log-power
-    stability.lambda_phi                 comparison constant for uhr (finite > 0;
+    stability.phi                        uhr only: one | critical-log-power
+    stability.lambda_phi                 uhr only: comparison constant (finite > 0;
                                          default the phi profile's sharp one)
-    stability.table                      the perturbation itself, uh only; else
+    stability.table                      uh only: the perturbation itself, else
                                          epsilon (uh) or epsilon phi(t) (uhr)
                                          (comma list, panels+1, finite)
 
 An ``rhs.<name>`` key that the chosen kind does not take is an error, and
 so is a value outside the kind's domain (``rhs.c = 1`` under
-``affine-in-uv``), cited at the ``rhs`` line.
+``affine-in-uv``), cited at the ``rhs`` line.  A ``stability.<name>`` key
+that only the other ``stability.mode`` reads is an error cited at its line.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ _RHS_PARAMS = {
     AFFINE: ("g0", "g1", "a", "c"),
     CUSTOM_TABLE: ("table",),
 }
+# the stability keys that one stability.mode alone reads
+_MODE_ONLY = {"stability.phi": "uhr", "stability.lambda_phi": "uhr", "stability.table": "uh"}
 # keys that the command-line flags --panels, --tol and --phi set
 FLAGS = ("panels", "tol", "phi")
 _REQUIRED = ("alpha", "beta", "b", "c1", "c2", "rhs")
@@ -122,9 +125,9 @@ class RunConfig:
     def rassias_lambda_phi(self) -> Optional[float]:
         """The Rassias comparison constant that ``certify`` and ``stability`` use.
 
-        The configured ``stability.lambda_phi``; without one, the sharp
-        constant of the built-in phi profile in ``uhr`` mode, and None in
-        ``uh`` mode.
+        None in ``uh`` mode, where ``stability.lambda_phi`` is rejected; in
+        ``uhr`` mode the configured value, else the sharp constant of the
+        built-in phi profile.
         """
         if self.lambda_phi is not None or self.stability_mode != "uhr":
             return self.lambda_phi
@@ -224,6 +227,9 @@ def _violations(c: RunConfig, keys):
             yield key, f"{key} must be finite"
     if not c.epsilons or not all(0.0 < eps < math.inf for eps in c.epsilons):
         yield "stability.epsilon", "need one or more finite positive epsilons"
+    for key in keys:
+        if _MODE_ONLY.get(key, c.stability_mode) != c.stability_mode:
+            yield key, f"only stability.mode = {_MODE_ONLY[key]} reads {key}"
     if c.lambda_phi is not None and not 0.0 < c.lambda_phi < math.inf:
         yield "stability.lambda_phi", "lambda_phi must be finite and positive"
     # the smallest grid with an interior window for the FIDE residual
@@ -238,10 +244,6 @@ def _violations(c: RunConfig, keys):
             yield key, f"rhs kind {c.rhs_kind!r} takes no parameter {key[4:]!r}"
     if c.rhs_kind == CUSTOM_TABLE and c.rhs_table is None:
         yield "rhs", "custom-table rhs needs rhs.table"
-    if c.stability_table is not None and c.stability_mode == "uhr":
-        yield "stability.table", (
-            "a supplied table has no phi profile; stability.mode = uhr needs one"
-        )
     for key, table in (("rhs.table", c.rhs_table), ("stability.table", c.stability_table)):
         if table is not None and len(table) != c.panels + 1:
             yield key, f"{len(table)} values; {c.panels} panels need {c.panels + 1}"

@@ -227,13 +227,12 @@ def hadamard_integral(f: GridFunction, mu: float) -> GridFunction:
 
 
 def _profile_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Second-order d/dx: central stencils inside, one-sided at both ends."""
+    """Second-order d/dx at nodes 1..n-1: central inside, one-sided at the right end."""
     n = values.shape[0]
     if n < 3:
         raise DomainError("derivative stencils need at least 3 grid nodes")
-    out = np.empty(n)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+    out = np.empty(n - 1)
+    out[:-1] = (values[2:] - values[:-2]) / (2.0 * h)
     out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
     return out
 
@@ -254,7 +253,7 @@ def _derivative(f: GridFunction, mu: float, s_coeff: float) -> GridFunction:
     vp = _profile_derivative(v, grid.h)
     g_out = min(max(gw - mu, 0.0), 1.0 - GAMMA_TOL)  # the result's weight class
     out = np.empty(grid.n_nodes)
-    out[1:] = (vp[1:] + (gw - 1.0) * v[1:] / x) * grid.x_power(gw - g_out)
+    out[1:] = (vp + (gw - 1.0) * v[1:] / x) * grid.x_power(gw - g_out)
     if s_coeff != 0.0:
         out[1:] += s_coeff * grid.x_power(gw - mu - g_out)
     out[0] = s_coeff if abs(g_out - (gw - mu)) <= GAMMA_TOL else 0.0

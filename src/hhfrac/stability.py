@@ -5,10 +5,12 @@ solution of the problem whose right-hand side is shifted by a constructed
 perturbation h, and checks the observed deviation against the certified
 bound.  Every bound is constant * epsilon * shape: C_f epsilon for
 Ulam-Hyers (shape 1), C_f_phi epsilon phi(t) nodewise for the Rassias
-variant (shape phi).  The admissibility test |h| <= epsilon * shape uses
-the same shape.  C_f, C_f_phi and the contraction modulus A are read from
-one :func:`~hhfrac.certificates.build_certificate` record, the one that
-``hhfrac certify`` prints.  u does not depend on h, so
+variant (shape phi, the run's one phi profile).  The admissibility test
+|h| <= epsilon * shape uses the same shape.  C_f, C_f_phi and the
+contraction modulus A are read from one
+:func:`~hhfrac.certificates.build_certificate` record per run, the one
+that ``hhfrac certify`` prints; a configuration's ``stability.mode``
+alone decides whether both are Rassias ones.  u does not depend on h, so
 :func:`run_experiments` runs a whole list of perturbations against one
 unperturbed solve, after every space, certificate, contraction and
 admissibility check has passed; :func:`run_uh_experiment` is its
@@ -157,39 +159,35 @@ def run_experiments(
     caller that has just made that call holds its result, and the solver's
     memo returns it without solving again.
 
-    Every check runs before any solve, in this order.  Each phi profile
-    must live on ``grid``.  One certificate serves the run, because
-    C_f_phi does not depend on the profile; each distinct profile still
-    verifies lambda_phi.  The contraction A < 1 must hold.  Each realized
-    perturbation must live on ``grid`` in the weight class gamma, and must
-    be admissible.  Each re-solve starts at the unperturbed solution, so
-    the perturbed solutions share its weighted limit at 1+.
+    Every check runs before any solve, in this order.  A Rassias run has
+    one phi profile, the same object in every perturbation, and it must
+    live on ``grid``; it verifies lambda_phi in the run's one certificate
+    and shapes every bound.  The contraction A < 1 must hold.  Each
+    realized perturbation must live on ``grid`` in the weight class gamma,
+    and must be admissible.  Each re-solve starts at the unperturbed
+    solution, so the perturbed solutions share its weighted limit at 1+.
     """
     perturbations = list(perturbations)
     g = problem.order.gamma
-    profiles = {}  # the distinct phi profiles of a Rassias run, by identity
-    for p in perturbations if lambda_phi is not None else ():
-        if p.phi_profile is None:
-            raise DomainError(
-                "Rassias experiments need a perturbation with a phi profile"
-            )
-        profiles[id(p.phi_profile)] = require_space(p.phi_profile, grid, None, "phi profile")
-    # each profile verifies lambda_phi; C_f_phi does not depend on the profile
-    certificates = [build_certificate(problem, phi, lambda_phi) for phi in profiles.values()]
-    certificate = certificates[0] if certificates else build_certificate(problem)
+    phi = None
+    if lambda_phi is not None:
+        profiles = {id(p.phi_profile): p.phi_profile for p in perturbations}
+        phi = profiles.popitem()[1] if len(profiles) == 1 else None
+        if phi is None:
+            raise DomainError("a Rassias run needs one phi profile, shared by every perturbation")
+        require_space(phi, grid, None, "phi profile")
+    certificate = build_certificate(problem, phi, lambda_phi)
     if certificate.a_const >= 1.0:
         raise DomainError(
             f"stability experiments require a contraction (A = {certificate.a_const:.4f} >= 1)"
         )
-    if lambda_phi is None:
-        constant, modes = certificate.c_f, (MODE_UH, MODE_GENERALIZED_UH)
-        shapes = [1.0] * len(perturbations)
+    if phi is None:
+        constant, modes, shape = certificate.c_f, (MODE_UH, MODE_GENERALIZED_UH), 1.0
     else:
         constant, modes = certificate.c_f_phi, (MODE_UHR, MODE_GENERALIZED_UHR)
-        tails = {key: phi.raw_tail() for key, phi in profiles.items()}
-        shapes = [tails[id(p.phi_profile)] for p in perturbations]
+        shape = phi.raw_tail()
     shifts = []
-    for p, shape in zip(perturbations, shapes):
+    for p in perturbations:
         h = require_space(p.realize(grid, g), grid, g, "perturbation")
         excess = np.max(np.abs(h.raw_tail()) - p.epsilon * shape)
         if excess > 1e-12 * max(1.0, p.epsilon):
@@ -200,7 +198,7 @@ def run_experiments(
     u, _ = picard_solve(problem, grid, tol=tol, cap=cap)
     u_raw = u.raw_tail()
     verdicts = []
-    for p, h, shape in zip(perturbations, shifts, shapes):
+    for p, h in zip(perturbations, shifts):
         u_tilde, _ = solve_with_fixed_constant(problem, grid, start=u, shift=h, tol=tol, cap=cap)
         deviation = np.abs(u_tilde.raw_tail() - u_raw)
         wdev = abs(u_tilde.weighted_limit - u.weighted_limit)

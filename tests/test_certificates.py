@@ -262,6 +262,16 @@ class TestRassiasVerification:
             build_certificate(section5, phi, lam)
         assert err.value.violations
 
+    def test_lambda_phi_just_below_sharp_rejected(self, section5, grid512):
+        # the sharp constant passes within roundoff; 1e-7 below it the last
+        # node exceeds by about 1.1e-7, beyond the 1e-9 comparison slack
+        a = ORDER.alpha
+        phi = log_power(grid512, ORDER.gamma, 0.0)
+        sharp = math.log(section5.b) ** a / math.gamma(a + 1.0)
+        assert build_certificate(section5, phi, sharp).lambda_phi == sharp
+        with pytest.raises(CertificateRejected) as err:
+            build_certificate(section5, phi, sharp * (1.0 - 1e-7))
+        assert err.value.violations[-1] == grid512.n_panels
 
     def test_profile_on_another_interval_rejected(self, section5):
         # on [1, 2] phi = 1 passes a lambda_phi that [1, e] rejects

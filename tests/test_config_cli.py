@@ -498,9 +498,29 @@ class TestCli:
                 ["certify"],
                 SECTION5_CFG + "stability.mode = uhr\npanels = 8\n"
                 + "stability.table = 0,0,0,0,0,0,0,0,0\n",
-                "{cfg}:11: stability.table: a supplied table has no phi "
-                "profile; stability.mode = uhr needs one",
+                "{cfg}:11: stability.table: only stability.mode = uh reads stability.table",
                 id="uhr-supplied-table",
+            ),
+            # under uh, certify would print a c_f_phi that stability never reads
+            pytest.param(
+                ["certify"], SECTION5_CFG + "stability.lambda_phi = 1.2\n",
+                "{cfg}:9: stability.lambda_phi: only stability.mode = uhr reads "
+                "stability.lambda_phi",
+                id="uh-lambda-phi",
+            ),
+            # a uh run reads no phi profile
+            pytest.param(
+                ["stability"],
+                SECTION5_CFG + "stability.mode = uh\nstability.phi = critical-log-power\n",
+                "{cfg}:10: stability.phi: only stability.mode = uhr reads stability.phi",
+                id="uh-phi",
+            ),
+            # the mode is checked before the value
+            pytest.param(
+                ["stability"], SECTION5_CFG + "stability.lambda_phi = -1\n",
+                "{cfg}:9: stability.lambda_phi: only stability.mode = uhr reads "
+                "stability.lambda_phi",
+                id="uh-lambda-phi-negative",
             ),
             *(
                 pytest.param(

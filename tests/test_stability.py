@@ -379,46 +379,66 @@ class TestSharedUnperturbedSolve:
             run_experiments(section5, perturbations, grid512, 1.5)
         assert solves == [] and constants == []
 
-    def test_two_profiles_one_certificate_each(self, section5, grid512, monkeypatch):
-        lam = ref.LAMBDA_PHI_CRITICAL
-        perturbations = [
-            PerturbationSpec("log-power", 1e-3, phi_profile=phi)
-            for phi in (log_power(grid512, ORDER.gamma, 0.0), critical_profile(grid512))
-        ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            single = [run_experiments(section5, [p], grid512, lam)[0] for p in perturbations]
-            constants = count_calls(monkeypatch, "build_certificate")
-            shared = run_experiments(section5, perturbations, grid512, lam)
-        assert [args[1] for args in constants] == [p.phi_profile for p in perturbations]
-        assert shared == single
+    @pytest.mark.parametrize("case", ["two-profiles", "profile-missing", "no-perturbation"])
+    def test_rassias_run_needs_one_profile_before_any_certificate(
+        self, section5, grid512, monkeypatch, case
+    ):
+        # the run's one profile shapes every bound and verifies lambda_phi
+        solves = count_calls(monkeypatch, "picard_solve")
+        constants = count_calls(monkeypatch, "build_certificate")
+        phi = log_power(grid512, ORDER.gamma, 0.0)
+        perturbations = {
+            "two-profiles": [
+                PerturbationSpec("log-power", 1e-3, phi_profile=profile)
+                for profile in (phi, critical_profile(grid512))
+            ],
+            "profile-missing": [
+                PerturbationSpec("log-power", 1e-3, phi_profile=phi),
+                PerturbationSpec("constant", 1e-3),
+            ],
+            "no-perturbation": [],
+        }[case]
+        with pytest.raises(DomainError, match="one phi profile, shared by every perturbation"):
+            run_experiments(section5, perturbations, grid512, 1.5)
+        assert solves == [] and constants == []
 
-    def test_lambda_phi_verified_against_every_profile(self, section5, grid512, monkeypatch):
+    def test_lambda_phi_verified_against_each_run_profile(self, section5, grid512, monkeypatch):
         # 1.15 passes phi = 1 (sharp about 1.1198) but not the critical profile
         solves = count_calls(monkeypatch, "picard_solve")
         resolves = count_calls(monkeypatch, "solve_with_fixed_constant")
-        perturbations = [
-            PerturbationSpec("log-power", 1e-3, phi_profile=phi)
+        one, critical = (
+            [PerturbationSpec("log-power", 1e-3, phi_profile=phi)]
             for phi in (log_power(grid512, ORDER.gamma, 0.0), critical_profile(grid512))
-        ]
-        run_experiments(section5, perturbations[:1], grid512, 1.15)
+        )
+        [verdict] = run_experiments(section5, one, grid512, 1.15)
+        assert verdict.passed
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(CertificateRejected):
-                run_experiments(section5, perturbations, grid512, 1.15)
+                run_experiments(section5, critical, grid512, 1.15)
         assert len(solves) == 1 and len(resolves) == 1
 
-    @pytest.mark.parametrize("name", ["sweep_uh", "sweep_uhr"])
-    def test_cli_solves_unperturbed_once(self, name, monkeypatch, capsys):
+    @pytest.mark.parametrize("name", sorted(p.stem for p in (ROOT / "configs").glob("*.cfg")))
+    def test_cli_solves_unperturbed_once_and_certifies_once(self, name, monkeypatch, capsys):
+        # the one certificate is in the configuration's mode: a uhr run
+        # passes its profile and lambda_phi, a uh run neither
         from hhfrac.cli import main
 
         solves = count_calls(monkeypatch, "picard_solve")
+        constants = count_calls(monkeypatch, "build_certificate")
         cfg = ROOT / "configs" / f"{name}.cfg"
+        config = load_config(str(cfg), {"panels": "64"})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(["stability", "--config", str(cfg), "--panels", "64"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1 + len(EPSILONS)
+        assert len(capsys.readouterr().out.splitlines()) == 1 + len(config.epsilons)
         assert len(solves) == 1
+        [(_, phi, lam)] = constants
+        assert lam == config.rassias_lambda_phi
+        assert (phi is None) == (config.stability_mode == "uh")
+        if phi is not None:
+            expected = config.phi_profile(phi.grid)
+            np.testing.assert_array_equal(phi.weighted_values, expected.weighted_values)
 
 
 def count_solves(monkeypatch):
@@ -553,6 +573,21 @@ class TestWarmStart:
         assert len(starts) == len(EPSILONS)
         for start in starts:
             assert start.weighted_values.tobytes() == u.weighted_values.tobytes()
+
+
+class TestPassSlack:
+    """A verdict passes down to a margin of -10 tol C, C the run's constant."""
+
+    @pytest.mark.parametrize("shape", [1.0, np.array([1.0, 2.0, 3.0])], ids=["uh", "uhr"])
+    @pytest.mark.parametrize("slacks, passed", [(5.0, True), (20.0, False)])
+    def test_slack_edge(self, shape, slacks, passed):
+        constant, epsilon, tol = 3.0, 1e-3, DEFAULT_TOL
+        bounds = constant * epsilon * shape
+        deviation = bounds + np.array([0.0, slacks * tol * constant, 0.0])
+        modes = (MODE_UH, MODE_GENERALIZED_UH)
+        verdict = stability_mod._verdict(modes, epsilon, deviation, bounds, constant, tol, 0.0)
+        assert verdict.margin == pytest.approx(-slacks * tol * constant, rel=1e-6)
+        assert verdict.passed is passed
 
 
 class TestVerdictsReadTheCertificate:
