@@ -251,8 +251,13 @@ def picard_solve(
     by value and with the same repr, so that -0.0 and 0.0 differ; a
     ``custom-table`` right-hand side compares its table by identity.  One
     entry is kept, so at most one solve stays pinned, and a solve that
-    raises is not kept.  Sharing is safe: grid functions are read-only,
-    and a report finishes once.
+    raises is not kept.  Sharing is safe for single-threaded callers:
+    grid functions are read-only, and a report finishes once.  The
+    library's own worker threads (``run_experiments``) touch neither the
+    memo nor a shared report.  A report's lazy finish is a
+    ``functools.cached_property``, which takes a class-wide lock on
+    Python 3.10 and 3.11 and no lock from 3.12 on, so there two threads
+    that read one report at once may both start its finish.
     """
     global _last_solve
     a_const = uniqueness_constant(problem)

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import warnings
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import hhfrac.solver as solver_mod
 import hhfrac.stability as stability_mod
 from hhfrac.certificates import build_certificate, gronwall_bound
 from hhfrac.config import load_config
-from hhfrac.errors import CertificateRejected, DomainError, GridMismatchError
+from hhfrac.errors import CertificateRejected, ConvergenceError, DomainError, GridMismatchError
 from hhfrac.grids import GridFunction, LogGrid, Order, log_power, weighted_norm
 from hhfrac.problems import (
     ProblemSpec, affine_rhs, manufactured_problem, paper_example_problem, paper_example_rhs,
@@ -625,3 +627,130 @@ class TestVerdictsReadTheCertificate:
             bounds = c_f_phi * p.epsilon * phi.raw_tail()
             worst = np.argmin(bounds - np.abs(u_tilde.raw_tail() - u.raw_tail()))
             assert verdict.certified_bound == bounds[worst]
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The name of every thread started during the test."""
+    started = []
+    original = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+class TestThreadedResolves:
+    """From the floor on, the re-solves of a run with several perturbations
+    run on worker threads, and every output is bitwise the sequential
+    loop's.  The CPU count is forced, so the tests do not depend on the
+    machine's."""
+
+    FLOOR = stability_mod._THREAD_FLOOR
+
+    @staticmethod
+    def table(grid, eps):
+        """A supplied table with |h| <= eps that varies along the grid."""
+        x = grid.log_nodes[1:]
+        w = np.zeros(grid.n_nodes)
+        w[1:] = eps * np.sin(7.0 * x) * grid.x_power(1.0 - ORDER.gamma)
+        return GridFunction(grid, ORDER.gamma, w)
+
+    def perturbations(self, grid, kind):
+        """(perturbations, lambda_phi) of one kind at every epsilon."""
+        if kind == "constant":
+            return [PerturbationSpec(kind, eps) for eps in EPSILONS], None
+        if kind == "log-power":
+            phi = critical_profile(grid)
+            specs = [PerturbationSpec(kind, eps, phi_profile=phi) for eps in EPSILONS]
+            return specs, ref.LAMBDA_PHI_CRITICAL
+        return [
+            PerturbationSpec(kind, eps, table=self.table(grid, eps)) for eps in EPSILONS
+        ], None
+
+    @staticmethod
+    def run(monkeypatch, cpus, problem, perturbations, grid, lambda_phi=None):
+        monkeypatch.setattr(stability_mod, "_cpus_available", lambda: cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return run_experiments(problem, perturbations, grid, lambda_phi)
+
+    @pytest.mark.parametrize("kind", ["constant", "log-power", "supplied-table"])
+    def test_bitwise_the_sequential_loop(self, section5, monkeypatch, thread_starts, kind):
+        grid = LogGrid(math.e, self.FLOOR)
+        perturbations, lam = self.perturbations(grid, kind)
+        sequential = self.run(monkeypatch, 1, section5, perturbations, grid, lam)
+        assert thread_starts == []
+        threaded = self.run(monkeypatch, 2, section5, perturbations, grid, lam)
+        assert 1 <= len(thread_starts) <= 2
+        assert threaded == sequential
+        assert verdicts_to_csv(threaded) == verdicts_to_csv(sequential)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failure_in_list_order(self, section5, monkeypatch, cpus):
+        # the first and third re-solves get one sweep, which is too few
+        grid = LogGrid(math.e, self.FLOOR)
+        perturbations, _ = self.perturbations(grid, "supplied-table")
+        failing = [perturbations[0].table, perturbations[2].table]
+        raised = {}
+        original = stability_mod.solve_with_fixed_constant
+
+        def resolve(problem, grid, start, shift, tol, cap):
+            short = any(shift is table for table in failing)
+            try:
+                return original(
+                    problem, grid, start=start, shift=shift, tol=tol, cap=1 if short else cap
+                )
+            except ConvergenceError as exc:
+                raised[id(shift)] = exc
+                raise
+
+        monkeypatch.setattr(stability_mod, "solve_with_fixed_constant", resolve)
+        with pytest.raises(ConvergenceError) as excinfo:
+            self.run(monkeypatch, cpus, section5, perturbations, grid)
+        assert excinfo.value is raised[id(failing[0])]
+
+    def test_workers_keep_the_callers_numpy_error_state(self, section5, monkeypatch):
+        grid = LogGrid(math.e, self.FLOOR)
+        perturbations, _ = self.perturbations(grid, "constant")
+        seen = {}
+        original = stability_mod.solve_with_fixed_constant
+
+        def resolve(*args, **kwargs):
+            seen[threading.current_thread().name] = np.geterr()
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stability_mod, "solve_with_fixed_constant", resolve)
+        with np.errstate(all="ignore"):
+            expected = np.geterr()
+            self.run(monkeypatch, 2, section5, perturbations, grid)
+        assert threading.current_thread().name not in seen
+        assert list(seen.values()) == [expected] * len(seen)
+
+    def test_no_thread_below_the_floor(self, section5, monkeypatch, thread_starts):
+        grid = LogGrid(math.e, self.FLOOR - 1)
+        perturbations, _ = self.perturbations(grid, "constant")
+        assert len(self.run(monkeypatch, 2, section5, perturbations, grid)) == len(EPSILONS)
+        assert thread_starts == []
+
+    def test_no_thread_for_one_perturbation(self, section5, monkeypatch, thread_starts):
+        monkeypatch.setattr(stability_mod, "_cpus_available", lambda: 2)
+        grid = LogGrid(math.e, self.FLOOR)
+        assert run_uh_experiment(section5, PerturbationSpec("constant", 1e-3), grid).passed
+        assert thread_starts == []
+
+    def test_no_thread_on_one_cpu(self, section5, monkeypatch, thread_starts):
+        grid = LogGrid(math.e, self.FLOOR)
+        perturbations, _ = self.perturbations(grid, "constant")
+        assert len(self.run(monkeypatch, 1, section5, perturbations, grid)) == len(EPSILONS)
+        assert thread_starts == []
+
+    def test_cpus_follow_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert stability_mod._cpus_available() == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert stability_mod._cpus_available() == 8
